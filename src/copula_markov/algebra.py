@@ -32,6 +32,7 @@ from .core import (
     TransposedCopula,
     UpperFrechetCopula,
 )
+from .families import OrdinalSumCopula
 from . import metrics
 
 __all__ = [
@@ -165,9 +166,12 @@ def quadrature_markov_product(c1: Copula, c2: Copula, panels: int):
 
 
 def transpose(c: Copula) -> Copula:
-    """(u, v) -> C(v, u); the matrix transpose on grids."""
+    """(u, v) -> C(v, u); the matrix transpose on grids, and the ordinal
+    sum of the transposed components over the same intervals."""
     if isinstance(c, GridCopula):
         return GridCopula(c.matrix.T.copy())
+    if isinstance(c, OrdinalSumCopula):
+        return OrdinalSumCopula(c.intervals, tuple(map(transpose, c.components)))
     if isinstance(c, TransposedCopula):
         return c.base
     if isinstance(c, (IndependenceCopula, UpperFrechetCopula, LowerFrechetCopula)):
@@ -219,12 +223,12 @@ def is_idempotent(c: Copula, tol=1e-9, resolution=DEFAULT_RESOLUTION) -> Idempot
     is the ordinal sum of the component self-products over the same
     intervals, so the copula is idempotent exactly when every component
     is.  This keeps the check exact for interval families that do not
-    align with any finite grid.  Everything else goes through the product.
+    align with any finite grid.  Everything else goes through the product;
+    a grid square is compared with C discretized at its resolution, exactly
+    on the corner lattice.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    from .families import OrdinalSumCopula
-
     if isinstance(c, OrdinalSumCopula):
         gap, witness = 0.0, (0.0, 0.0)
         for (a, b), comp in zip(c.intervals, c.components):
@@ -235,7 +239,9 @@ def is_idempotent(c: Copula, tol=1e-9, resolution=DEFAULT_RESOLUTION) -> Idempot
                 witness = (a + (b - a) * sub.witness[0], a + (b - a) * sub.witness[1])
         return IdempotenceVerdict(bool(gap <= tol), float(gap), witness)
     square = markov_product(c, c, resolution=resolution)
-    gap, witness = metrics.d_inf_witness(square, c)
+    if isinstance(square, GridCopula):
+        c = _as_grid(c, square.n)
+    gap, witness = metrics.sup_gap(square, c)
     return IdempotenceVerdict(bool(gap <= tol), float(gap), witness)
 
 
@@ -265,12 +271,6 @@ class IterateReport:
             "monotone_decrease_violation": self.monotone_decrease_violation,
             "converged": self.converged,
         }
-
-
-def _corner_sup(g1: GridCopula, g2: GridCopula):
-    """Exact sup distance between equal-resolution grids (signed max too)."""
-    diff = (g1._prefix - g2._prefix) / g1.n
-    return float(np.abs(diff).max()), float(diff.max())
 
 
 def iterate_to_limit(
@@ -303,7 +303,8 @@ def iterate_to_limit(
     n_steps = 0
     for step in range(1, max_iter + 1):
         nxt = GridCopula(base.matrix @ current.matrix)
-        sup_gap, signed_max = _corner_sup(nxt, current)
+        sup_gap = metrics.sup_gap(nxt, current)[0]
+        signed_max = metrics.sup_gap(nxt, current, signed=True)[0]
         worst_increase = max(worst_increase, max(signed_max, 0.0))
         steps.append((step, sup_gap, metrics._d1_grids(nxt, current)))
         n_steps = step

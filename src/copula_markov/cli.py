@@ -154,7 +154,6 @@ def cmd_metric(args) -> int:
     a = load_copula(args.spec_a)
     if args.metric == "sobolev-diag":
         value = metrics.sobolev_diagonal(a)
-        n_nodes = 1025
         b_name = None
     else:
         if not args.spec_b:
@@ -162,16 +161,13 @@ def cmd_metric(args) -> int:
         b = load_copula(args.spec_b)
         if args.metric == "dinf":
             value = metrics.d_inf(a, b)
-            n_nodes = metrics.AUDIT_POINTS
         else:
             value = metrics.d1_metric(a, b)
-            n_nodes = 512
         b_name = args.spec_b
     _emit(
         {
             "metric": args.metric,
             "value": value,
-            "n_nodes": n_nodes,
             "copula_a": args.spec_a,
             "copula_b": b_name,
         }

@@ -365,10 +365,16 @@ class GridCopula(Copula):
         u = rng.random(count)
         w = np.maximum(rng.random(count), 1e-300)
         k = cell_index(self.n, u)
-        row_cum = np.cumsum(self.matrix, axis=1)[k, :]
-        m = (row_cum < w[:, None]).sum(axis=1)
+        cum = np.cumsum(self.matrix, axis=1)
+        # search each row's cumulative sums for the samples drawn in it, so
+        # no count-by-n table is built; side="left" counts the entries < w
+        m = np.empty(count, dtype=np.intp)
+        order = np.argsort(k, kind="stable")
+        edges = np.searchsorted(k[order], np.arange(self.n + 1))
+        for row, lo, hi in zip(range(self.n), edges[:-1], edges[1:]):
+            m[order[lo:hi]] = np.searchsorted(cum[row], w[order[lo:hi]], side="left")
         m = np.minimum(m, self.n - 1)
-        prev = np.where(m > 0, np.take_along_axis(row_cum, np.maximum(m - 1, 0)[:, None], 1)[:, 0], 0.0)
+        prev = np.where(m > 0, cum[k, np.maximum(m - 1, 0)], 0.0)
         mass = self.matrix[k, m]
         frac = np.divide(w - prev, mass, out=np.zeros_like(w), where=mass > 0)
         v = (m + np.clip(frac, 0.0, 1.0)) / self.n

@@ -4,7 +4,6 @@ partial-derivative distance D1, and the diagonal Sobolev functional."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
@@ -13,6 +12,7 @@ from .core import Copula, DomainError, GridCopula
 __all__ = [
     "d_inf",
     "d_inf_witness",
+    "sup_gap",
     "d1_metric",
     "sobolev_diagonal",
     "nqd_idempotent_check",
@@ -34,13 +34,21 @@ def _axis_points(c1: Copula, c2: Copula, knot_getter):
     return pts
 
 
-def _sup_mesh_gap(c1, c2, signed=False):
-    """Max of (c1 - c2) (signed) or |c1 - c2| over the audit mesh.
+def sup_gap(c1: Copula, c2: Copula, signed=False):
+    """Max of |C1 - C2| (or of C1 - C2 when ``signed``) with a point attaining it.
 
-    The mesh is the 257-point lattice joined with all cell corners of grid
-    operands; for common-resolution grids the difference is piecewise
-    bilinear, so the corner sweep is exact.
+    Two grids of one resolution compare their corner values; the difference
+    is bilinear on each cell, so the corner lattice is exact.  Any other
+    pair runs over the audit mesh: the 257-point lattice joined with the
+    knots of both operands, which is exact for grids of different
+    resolutions too, since their knots are all their corners.
     """
+    if isinstance(c1, GridCopula) and isinstance(c2, GridCopula) and c1.n == c2.n:
+        diff = (c1._prefix - c2._prefix) / c1.n
+        if not signed:
+            diff = np.abs(diff)
+        i, j = np.unravel_index(np.argmax(diff), diff.shape)
+        return float(diff[i, j]), (int(i) / c1.n, int(j) / c1.n)
     us = _axis_points(c1, c2, lambda c: c.knots_u)
     vs = _axis_points(c1, c2, lambda c: c.knots_v)
     best = -np.inf
@@ -62,18 +70,14 @@ def _sup_mesh_gap(c1, c2, signed=False):
 
 
 def d_inf_witness(c1: Copula, c2: Copula):
-    """Sup distance together with a point attaining it on the audit mesh."""
-    return _sup_mesh_gap(c1, c2, signed=False)
+    """Sup distance together with a point attaining it (see :func:`sup_gap`)."""
+    return sup_gap(c1, c2)
 
 
 def d_inf(c1: Copula, c2: Copula) -> float:
-    """max |C1 - C2| over the audit mesh (exact for equal-resolution grids)."""
-    return d_inf_witness(c1, c2)[0]
-
-
-def max_signed_gap(c1: Copula, c2: Copula):
-    """max (C1 - C2) over the audit mesh, with witness (may be negative)."""
-    return _sup_mesh_gap(c1, c2, signed=True)
+    """max |C1 - C2|: exact on the corners of two equal-resolution grids,
+    else over the audit mesh joined with both operands' knots."""
+    return sup_gap(c1, c2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -84,17 +88,19 @@ def max_signed_gap(c1: Copula, c2: Copula):
 def d1_metric(c1: Copula, c2: Copula) -> float:
     """Integral of |d1 C1 - d1 C2| over the unit square.
 
-    Grid pairs are brought to a common resolution and integrated exactly
-    (the derivative gap is piecewise linear in v and constant in u on each
-    cell).  A grid paired with a closed-form copula discretizes the latter
+    Grid pairs are brought to their least common resolution, under the
+    refinement cap of :func:`copula_markov.algebra.markov_product`, and
+    integrated exactly (the derivative gap is piecewise linear in v and
+    constant in u on each cell).  A grid paired with a closed-form copula discretizes the latter
     onto a refinement of the grid.  Closed-form pairs run a panel
     integrator that splits each slice at the structural knots of both
     operands, locates the sign changes of the gap, and applies
     Gauss-Legendre on the sign-constant pieces.
     """
     if isinstance(c1, GridCopula) and isinstance(c2, GridCopula):
-        n = lcm(c1.n, c2.n)
-        return _d1_grids(c1.discretize(n), c2.discretize(n))
+        from .algebra import _common_grid_pair
+
+        return _d1_grids(*_common_grid_pair(c1, c2, resolution=None, cap=None))
     if isinstance(c1, GridCopula):
         n = c1.n * max(1, -(-128 // c1.n))
         return _d1_grids(c1.discretize(n), c2.discretize(n))
@@ -287,7 +293,7 @@ def nqd_idempotent_check(c: Copula, tol=1e-9) -> NqdVerdict:
             f"input is not idempotent within {tol:g} (gap {idem.gap:.3g})"
         )
     pi = IndependenceCopula()
-    excess, _ = max_signed_gap(c, pi)
+    excess, _ = sup_gap(c, pi, signed=True)
     if excess > tol:
         return NqdVerdict(False, float(excess), None, None, None)
     gap = d_inf(c, pi)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
-from .algebra import markov_product, transpose
+from .algebra import _as_grid, markov_product, transpose
 from .core import (
     Copula,
     DomainError,
@@ -146,39 +146,20 @@ class DominanceVerdict:
         }
 
 
-def _corner_signed_gap(grid: GridCopula, other: Copula, flip=False):
-    """Max of grid - other (or other - grid) over the grid's corner lattice."""
-    n = grid.n
-    axis = np.arange(n + 1) / n
-    corners = grid.corner_cdf()
-    best = -np.inf
-    at = (0.0, 0.0)
-    step = max(1, int(4e6 / (n + 1)))
-    for start in range(0, n + 1, step):
-        rows = slice(start, min(start + step, n + 1))
-        ref = np.asarray(other.cdf(axis[rows, None], axis[None, :]))
-        diff = (ref - corners[rows, :]) if flip else (corners[rows, :] - ref)
-        i, j = np.unravel_index(np.argmax(diff), diff.shape)
-        if diff[i, j] > best:
-            best = float(diff[i, j])
-            at = (float(axis[rows][i]), float(axis[j]))
-    return best, at
-
-
 def check_dominance(d: Copula, c: Copula, tol=1e-9, reverse=False) -> DominanceVerdict:
-    """Whether D * C <= C + tol at all grid corners of the product.
+    """Whether D * C <= C + tol.
 
+    A grid product is compared with C discretized at the product's
+    resolution, exactly on the corner lattice; a closed-form product with C
+    over the audit mesh of :func:`copula_markov.metrics.sup_gap`.
     ``reverse=True`` selects the opposite inequality C <= D * C + tol,
     the relevant direction for stochastically decreasing C.
     """
     product = markov_product(d, c)
     if isinstance(product, GridCopula):
-        gap, witness = _corner_signed_gap(product, c, flip=reverse)
-    else:
-        if reverse:
-            gap, witness = metrics.max_signed_gap(c, product)
-        else:
-            gap, witness = metrics.max_signed_gap(product, c)
+        c = _as_grid(c, product.n)
+    lhs, rhs = (c, product) if reverse else (product, c)
+    gap, witness = metrics.sup_gap(lhs, rhs, signed=True)
     return DominanceVerdict(bool(gap <= tol), float(gap), witness, bool(reverse))
 
 
@@ -213,8 +194,8 @@ def check_quadrant_dependence(c: Copula, tol=1e-9) -> QuadrantVerdict:
     from .core import IndependenceCopula
 
     pi = IndependenceCopula()
-    above, _ = metrics.max_signed_gap(c, pi)
-    below, _ = metrics.max_signed_gap(pi, c)
+    above, _ = metrics.sup_gap(c, pi, signed=True)
+    below, _ = metrics.sup_gap(pi, c, signed=True)
     return QuadrantVerdict(
         pqd=bool(below <= tol),
         nqd=bool(above <= tol),
@@ -238,19 +219,18 @@ class CompleteDependenceVerdict:
 def check_complete_dependence(c: Copula, tol=1e-9) -> CompleteDependenceVerdict:
     """Left-invertibility under the product: transpose(C) * C = upper bound.
 
-    For a grid product the comparison runs over the corner lattice, where
-    checkerboards represent their copulas exactly (between corners every
-    checkerboard sits below the upper bound by the O(1/n) cell floor, which
-    carries no information about C).
+    A grid product is compared with the upper bound discretized at the
+    product's resolution (the identity matrix), exactly on the corner
+    lattice, where checkerboards represent their copulas exactly (between
+    corners every checkerboard sits below the upper bound by the O(1/n)
+    cell floor, which carries no information about C).  A closed-form
+    product runs over the audit mesh of :func:`copula_markov.metrics.sup_gap`.
     """
     product = markov_product(transpose(c), c)
     upper = UpperFrechetCopula()
     if isinstance(product, GridCopula):
-        gap_above, _ = _corner_signed_gap(product, upper)
-        gap_below, _ = _corner_signed_gap(product, upper, flip=True)
-        gap = max(abs(gap_above), abs(gap_below))
-    else:
-        gap = metrics.d_inf(product, upper)
+        upper = upper.discretize(product.n)
+    gap = metrics.d_inf(product, upper)
     return CompleteDependenceVerdict(bool(gap <= tol), float(gap))
 
 

@@ -8,9 +8,11 @@ from copula_markov import (
     IndependenceCopula,
     LowerFrechetCopula,
     NotStochasticallyIncreasingError,
+    OrdinalSumCopula,
     ResolutionCapError,
     TransposedCopula,
     UpperFrechetCopula,
+    comonotone_pickands,
     extract_pi_ordinal_structure,
     gumbel_pickands,
     extreme_value_copula,
@@ -230,6 +232,18 @@ def test_power_rejects_zero(checker3):
         power(checker3, 0)
 
 
+def test_transpose_distributes_over_ordinal_sum(pi):
+    cop = ordinal_sum(
+        [(0.0, 1 / 3), (0.5, 0.9)], [pi, extreme_value_copula(gumbel_pickands(2.0))]
+    )
+    flipped = transpose(cop)
+    assert isinstance(flipped, OrdinalSumCopula)
+    assert flipped.intervals == cop.intervals
+    s = np.concatenate([np.linspace(0.0, 1.0, 61), [1 / 3, 0.9]])
+    u, v = np.meshgrid(s, s, indexing="ij")
+    assert np.array_equal(flipped.cdf(u, v), cop.cdf(v, u))
+
+
 # ---------------------------------------------------------------------------
 # idempotency
 # ---------------------------------------------------------------------------
@@ -260,6 +274,20 @@ def test_idempotent_ordinal_sum_resolves_componentwise(pi):
     verdict = is_idempotent(cop, tol=1e-12)
     assert verdict.idempotent
     assert verdict.gap == 0.0
+
+
+def test_idempotent_transposed_ordinal_sum(pi):
+    verdict = is_idempotent(transpose(ordinal_sum([(0.0, 1 / 3)], [pi])))
+    assert verdict.idempotent
+    assert verdict.gap == 0.0
+
+
+def test_idempotent_closed_form_compared_on_the_square_grid():
+    # the extreme-value copula of A(t) = max(t, 1 - t) is the upper bound;
+    # its discretized square matches its discretization on every corner
+    verdict = is_idempotent(extreme_value_copula(comonotone_pickands()), tol=1e-9)
+    assert verdict.idempotent
+    assert verdict.gap <= 1e-12
 
 
 def test_is_idempotent_requires_positive_tol(pi):

@@ -302,16 +302,20 @@ def test_metric_commands(specs, capsys):
     )
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(2 / 3, abs=1e-9)
+    # no node count is reported: none of the three computations has one
+    assert "n_nodes" not in json.loads(out)
 
     code, out, _ = run(
         capsys, "metric", specs["pi.json"], specs["cplus.json"], "--metric", "d1"
     )
     assert json.loads(out)["value"] == pytest.approx(1 / 3, abs=1e-6)
+    assert "n_nodes" not in json.loads(out)
 
     code, out, _ = run(
         capsys, "metric", specs["checker3.json"], specs["checker3.json"], "--metric", "dinf"
     )
     assert json.loads(out)["value"] == 0.0
+    assert "n_nodes" not in json.loads(out)
 
 
 def test_metric_requires_second_spec(specs, capsys):

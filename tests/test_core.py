@@ -12,6 +12,7 @@ from copula_markov import (
     StepFunction,
     TransposedCopula,
 )
+from copula_markov.core import cell_index
 
 from conftest import CHECKER3, random_doubly_stochastic
 
@@ -267,6 +268,31 @@ def test_sample_deterministic_for_seed(checker3):
     c = checker3.sample(64, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def table_sample(matrix, count, seed):
+    """Reference: inverse conditional cdf through a count-by-n table of the
+    sampled rows' cumulative sums."""
+    n = matrix.shape[0]
+    rng = np.random.default_rng(seed)
+    u = rng.random(count)
+    w = np.maximum(rng.random(count), 1e-300)
+    k = cell_index(n, u)
+    row_cum = np.cumsum(matrix, axis=1)[k, :]
+    m = np.minimum((row_cum < w[:, None]).sum(axis=1), n - 1)
+    prev = np.where(
+        m > 0, np.take_along_axis(row_cum, np.maximum(m - 1, 0)[:, None], 1)[:, 0], 0.0
+    )
+    mass = matrix[k, m]
+    frac = np.divide(w - prev, mass, out=np.zeros_like(w), where=mass > 0)
+    return np.column_stack([u, (m + np.clip(frac, 0.0, 1.0)) / n])
+
+
+def test_sample_checkerboard_matches_table_reference(checker3, rng):
+    # row-by-row search draws the same pairs bit for bit
+    for grid in (checker3, GridCopula(random_doubly_stochastic(rng, 16, n_perms=3))):
+        expected = table_sample(grid.matrix, 5_000, seed=17)
+        assert np.array_equal(grid.sample(5_000, seed=17), expected)
 
 
 def test_sample_checkerboard_cell_masses(checker3):

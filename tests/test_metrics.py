@@ -5,6 +5,7 @@ from copula_markov import (
     DomainError,
     GridCopula,
     IndependenceCopula,
+    ResolutionCapError,
     check_quadrant_dependence,
     check_si,
     conditional_expectation_form,
@@ -16,7 +17,7 @@ from copula_markov import (
     power,
     sobolev_diagonal,
 )
-from copula_markov.metrics import d1_midpoint, d_inf_witness
+from copula_markov.metrics import d1_midpoint, d_inf_witness, sup_gap
 
 from conftest import CHECKER3, random_doubly_stochastic
 
@@ -59,6 +60,39 @@ def test_d_inf_exact_for_common_resolution_grids(checker3):
     assert d_inf(checker3, other) == pytest.approx(oracle, abs=1e-15)
 
 
+def corner_values(matrix):
+    p = np.zeros((matrix.shape[0] + 1,) * 2)
+    p[1:, 1:] = matrix.cumsum(0).cumsum(1)
+    return p / matrix.shape[0]
+
+
+def test_sup_gap_common_resolution_grids_on_corners(rng):
+    a = random_doubly_stochastic(rng, 6)
+    b = random_doubly_stochastic(rng, 6)
+    diff = corner_values(a) - corner_values(b)
+    gap, (u, v) = sup_gap(GridCopula(a), GridCopula(b))
+    assert gap == pytest.approx(np.abs(diff).max(), abs=1e-15)
+    assert abs(diff[round(u * 6), round(v * 6)]) == pytest.approx(gap, abs=1e-15)
+    signed, (u, v) = sup_gap(GridCopula(a), GridCopula(b), signed=True)
+    assert signed == pytest.approx(diff.max(), abs=1e-15)
+    assert diff[round(u * 6), round(v * 6)] == pytest.approx(signed, abs=1e-15)
+
+
+def test_sup_gap_mixed_resolution_grids_exact(rng):
+    # the knots of a 2-grid and a 3-grid span every corner of their 6-grid
+    a = random_doubly_stochastic(rng, 2)
+    b = random_doubly_stochastic(rng, 3)
+    diff = corner_values(np.kron(a, np.full((3, 3), 1 / 3))) - corner_values(
+        np.kron(b, np.full((2, 2), 1 / 2))
+    )
+    assert sup_gap(GridCopula(a), GridCopula(b))[0] == pytest.approx(
+        np.abs(diff).max(), abs=1e-12
+    )
+    assert sup_gap(GridCopula(a), GridCopula(b), signed=True)[0] == pytest.approx(
+        diff.max(), abs=1e-12
+    )
+
+
 # ---------------------------------------------------------------------------
 # the D1 metric
 # ---------------------------------------------------------------------------
@@ -72,6 +106,14 @@ def test_d1_identical_inputs(checker3, pi):
 def test_d1_independence_to_upper_bound(pi, upper):
     # analytic oracle: integral of |v - 1{u<v}| dudv = integral 2v(1-v) dv
     assert d1_metric(pi, upper) == pytest.approx(1 / 3, abs=1e-6)
+
+
+def test_d1_grid_pair_respects_resolution_cap(rng, monkeypatch):
+    monkeypatch.setenv("COPULA_GRID_CAP", "10")
+    a = GridCopula(random_doubly_stochastic(rng, 3))
+    b = GridCopula(random_doubly_stochastic(rng, 4))
+    with pytest.raises(ResolutionCapError):
+        d1_metric(a, b)
 
 
 def test_d1_midpoint_oracle_agrees(pi, upper):
