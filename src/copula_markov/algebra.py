@@ -98,27 +98,18 @@ def resolution_cap(cap=None) -> int:
     return int(env) if env else _DEFAULT_CAP
 
 
-def _as_grid(c: Copula, n: int) -> GridCopula:
-    return c if isinstance(c, GridCopula) and c.n == n else c.discretize(n)
-
-
-def _common_grid_pair(c1, c2, resolution, cap):
-    """Bring both operands onto one grid (lcm refinement, cap-checked)."""
+def _common_grid(*copulas, resolution=DEFAULT_RESOLUTION, cap=None):
+    """Bring the operands onto one grid, cap-checked: the lcm of the grids'
+    resolutions, or ``resolution`` when all are closed forms."""
+    sizes = [c.n for c in copulas if isinstance(c, GridCopula)]
+    n = lcm(*sizes) if sizes else int(resolution)
     limit = resolution_cap(cap)
-    if isinstance(c1, GridCopula) and isinstance(c2, GridCopula):
-        n = lcm(c1.n, c2.n)
-    elif isinstance(c1, GridCopula):
-        n = c1.n
-    elif isinstance(c2, GridCopula):
-        n = c2.n
-    else:
-        n = int(resolution)
     if n > limit:
         raise ResolutionCapError(
             f"common resolution {n} exceeds the cap {limit} "
             f"(override with {RESOLUTION_CAP_ENV} or the cap argument)"
         )
-    return _as_grid(c1, n), _as_grid(c2, n)
+    return tuple(c.discretize(n) for c in copulas)
 
 
 def markov_product(c1: Copula, c2: Copula, resolution=DEFAULT_RESOLUTION, cap=None):
@@ -137,7 +128,7 @@ def markov_product(c1: Copula, c2: Copula, resolution=DEFAULT_RESOLUTION, cap=No
         return c1
     if isinstance(c1, IndependenceCopula) or isinstance(c2, IndependenceCopula):
         return IndependenceCopula()
-    g1, g2 = _common_grid_pair(c1, c2, resolution, cap)
+    g1, g2 = _common_grid(c1, c2, resolution=resolution, cap=cap)
     return GridCopula(g1.matrix @ g2.matrix)
 
 
@@ -195,7 +186,7 @@ def power(c: Copula, n: int, resolution=DEFAULT_RESOLUTION, cap=None):
         raise DomainError("power requires n >= 1")
     if isinstance(c, (UpperFrechetCopula, IndependenceCopula)):
         return c
-    grid = _as_grid(c, c.n if isinstance(c, GridCopula) else int(resolution))
+    (grid,) = _common_grid(c, resolution=resolution, cap=cap)
     return GridCopula(np.linalg.matrix_power(grid.matrix, n))
 
 
@@ -223,9 +214,10 @@ def is_idempotent(c: Copula, tol=1e-9, resolution=DEFAULT_RESOLUTION) -> Idempot
     is the ordinal sum of the component self-products over the same
     intervals, so the copula is idempotent exactly when every component
     is.  This keeps the check exact for interval families that do not
-    align with any finite grid.  Everything else goes through the product;
-    a grid square is compared with C discretized at its resolution, exactly
-    on the corner lattice.
+    align with any finite grid.  A transpose takes its base's verdict with
+    the witness swapped, since (C^T * C^T) - C^T = ((C * C) - C)^T.
+    Everything else goes through the product; a grid square is compared
+    with C discretized at its resolution, exactly on the corner lattice.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -238,9 +230,12 @@ def is_idempotent(c: Copula, tol=1e-9, resolution=DEFAULT_RESOLUTION) -> Idempot
                 gap = scaled
                 witness = (a + (b - a) * sub.witness[0], a + (b - a) * sub.witness[1])
         return IdempotenceVerdict(bool(gap <= tol), float(gap), witness)
+    if isinstance(c, TransposedCopula):
+        sub = is_idempotent(c.base, tol=tol, resolution=resolution)
+        return IdempotenceVerdict(sub.idempotent, sub.gap, sub.witness[::-1])
     square = markov_product(c, c, resolution=resolution)
     if isinstance(square, GridCopula):
-        c = _as_grid(c, square.n)
+        c = c.discretize(square.n)
     gap, witness = metrics.sup_gap(square, c)
     return IdempotenceVerdict(bool(gap <= tol), float(gap), witness)
 
@@ -290,7 +285,7 @@ def iterate_to_limit(
     """
     from .monotonicity import check_si
 
-    base = _as_grid(c, c.n if isinstance(c, GridCopula) else int(resolution))
+    (base,) = _common_grid(c, resolution=resolution)
     verdict = check_si(base, component=1, tol=1e-9)
     if not verdict.si:
         raise NotStochasticallyIncreasingError(verdict)

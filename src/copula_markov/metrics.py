@@ -25,6 +25,11 @@ AUDIT_POINTS = 257
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
+#: closed-form D1: Gauss-Legendre panels per u-interval between knots, and
+#: uniform midpoint cells per t-slice (joined with the slice's knots)
+_D1_U_PANELS = 24
+_D1_T_CELLS = 2048
+
 
 def _axis_points(c1: Copula, c2: Copula, knot_getter):
     pts = np.linspace(0.0, 1.0, AUDIT_POINTS)
@@ -91,21 +96,22 @@ def d1_metric(c1: Copula, c2: Copula) -> float:
     Grid pairs are brought to their least common resolution, under the
     refinement cap of :func:`copula_markov.algebra.markov_product`, and
     integrated exactly (the derivative gap is piecewise linear in v and
-    constant in u on each cell).  A grid paired with a closed-form copula discretizes the latter
-    onto a refinement of the grid.  Closed-form pairs run a panel
-    integrator that splits each slice at the structural knots of both
-    operands, locates the sign changes of the gap, and applies
-    Gauss-Legendre on the sign-constant pieces.
+    constant in u on each cell).  A grid paired with a closed-form copula
+    discretizes the latter onto a refinement of the grid with at least 128
+    cells per axis.  Closed-form pairs use one fixed rule: Gauss-Legendre
+    (12 nodes on 24 panels) in u between the u-knots of both operands, and
+    at each u-node the midpoint rule in t on 2048 uniform cells joined with
+    the slice's knots.  The rule is exact where the gap is linear and of
+    one sign between knots (Pi, M, W and their ordinal sums) and second
+    order elsewhere.
     """
-    if isinstance(c1, GridCopula) and isinstance(c2, GridCopula):
-        from .algebra import _common_grid_pair
+    grids = [c.n for c in (c1, c2) if isinstance(c, GridCopula)]
+    if len(grids) == 2:
+        from .algebra import _common_grid
 
-        return _d1_grids(*_common_grid_pair(c1, c2, resolution=None, cap=None))
-    if isinstance(c1, GridCopula):
-        n = c1.n * max(1, -(-128 // c1.n))
-        return _d1_grids(c1.discretize(n), c2.discretize(n))
-    if isinstance(c2, GridCopula):
-        n = c2.n * max(1, -(-128 // c2.n))
+        return _d1_grids(*_common_grid(c1, c2))
+    if grids:
+        n = grids[0] * max(1, -(-128 // grids[0]))
         return _d1_grids(c1.discretize(n), c2.discretize(n))
     return _d1_slices(c1, c2)
 
@@ -143,59 +149,24 @@ def _slice_knots(c1, c2, u):
     return np.array(sorted(p for p in pts if 0.0 <= p <= 1.0))
 
 
-def _integrate_abs_smooth(gap, lo, hi):
-    """Integral of |gap| on [lo, hi] where gap is smooth; splits at sign
-    changes found among the sample nodes by bisection."""
-    if hi - lo <= 1e-15:
-        return 0.0
-    xs = lo + (hi - lo) * np.linspace(0.0, 1.0, 9)
-    ys = gap(xs)
-    cuts = [lo]
-    # exact zeros at sample nodes already separate the signs
-    cuts.extend(float(x) for x, y in zip(xs[1:-1], ys[1:-1]) if y == 0.0)
-    for x0, x1, y0, y1 in zip(xs[:-1], xs[1:], ys[:-1], ys[1:]):
-        if y0 == 0.0 or y0 * y1 >= 0.0:
-            continue
-        a, b = x0, x1
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            if gap(np.array([m]))[0] * y0 > 0:
-                a = m
-            else:
-                b = m
-        cuts.append(0.5 * (a + b))
-    cuts.append(hi)
-    cuts = np.unique(np.array(cuts))
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        nodes = mid + half * _GL_NODES
-        total += abs(half * float(np.dot(_GL_WEIGHTS, gap(nodes))))
-    return total
-
-
-def _d1_slices(c1, c2, u_panels=24):
+def _d1_slices(c1, c2):
     u_edges = {0.0, 1.0}
     u_edges.update(float(x) for x in c1.knots_u())
     u_edges.update(float(x) for x in c2.knots_u())
     u_edges = np.array(sorted(u_edges))
+    cells = np.linspace(0.0, 1.0, _D1_T_CELLS + 1)
 
     def slice_value(u):
-        knots = _slice_knots(c1, c2, u)
-
-        def gap(t):
-            return np.asarray(c1.partial_derivative(1, u, t)) - np.asarray(
-                c2.partial_derivative(1, u, t)
-            )
-
-        return sum(
-            _integrate_abs_smooth(gap, a, b) for a, b in zip(knots[:-1], knots[1:])
+        edges = np.union1d(cells, _slice_knots(c1, c2, u))
+        t = 0.5 * (edges[:-1] + edges[1:])
+        gap = np.asarray(c1.partial_derivative(1, u, t)) - np.asarray(
+            c2.partial_derivative(1, u, t)
         )
+        return float(np.abs(gap) @ np.diff(edges))
 
     total = 0.0
     for a, b in zip(u_edges[:-1], u_edges[1:]):
-        panels = np.linspace(a, b, u_panels + 1)
+        panels = np.linspace(a, b, _D1_U_PANELS + 1)
         for p0, p1 in zip(panels[:-1], panels[1:]):
             mid = 0.5 * (p0 + p1)
             half = 0.5 * (p1 - p0)

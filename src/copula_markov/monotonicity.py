@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
-from .algebra import _as_grid, markov_product, transpose
+from .algebra import markov_product, transpose
 from .core import (
     Copula,
     DomainError,
@@ -157,7 +157,7 @@ def check_dominance(d: Copula, c: Copula, tol=1e-9, reverse=False) -> DominanceV
     """
     product = markov_product(d, c)
     if isinstance(product, GridCopula):
-        c = _as_grid(c, product.n)
+        c = c.discretize(product.n)
     lhs, rhs = (c, product) if reverse else (product, c)
     gap, witness = metrics.sup_gap(lhs, rhs, signed=True)
     return DominanceVerdict(bool(gap <= tol), float(gap), witness, bool(reverse))

@@ -71,8 +71,6 @@ class DiscreteMarkovOperator:
 
 def operator_of(c: Copula, n: int) -> DiscreteMarkovOperator:
     """Operator of C at resolution n (the matrix of its checkerboard)."""
-    if isinstance(c, GridCopula) and c.n == n:
-        return DiscreteMarkovOperator(c.matrix)
     return DiscreteMarkovOperator(c.discretize(n).matrix)
 
 

@@ -12,6 +12,8 @@ from copula_markov import (
     ResolutionCapError,
     TransposedCopula,
     UpperFrechetCopula,
+    archimedean_copula,
+    clayton_generator,
     comonotone_pickands,
     extract_pi_ordinal_structure,
     gumbel_pickands,
@@ -26,6 +28,7 @@ from copula_markov import (
     transpose,
 )
 from copula_markov import d_inf
+from copula_markov.serialize import copula_from_spec
 
 from conftest import CHECKER3, random_doubly_stochastic
 
@@ -98,6 +101,17 @@ def test_product_resolution_cap(rng, monkeypatch):
         markov_product(a, b)
     monkeypatch.setenv("COPULA_GRID_CAP", "6")
     assert markov_product(a, b).n == 6
+
+
+def test_power_and_iterate_respect_resolution_cap(rng, monkeypatch):
+    clayton = archimedean_copula(clayton_generator(2.0))
+    with pytest.raises(ResolutionCapError):
+        power(GridCopula(random_doubly_stochastic(rng, 8)), 2, cap=4)
+    monkeypatch.setenv("COPULA_GRID_CAP", "10")
+    with pytest.raises(ResolutionCapError):
+        power(clayton, 2, resolution=16)
+    with pytest.raises(ResolutionCapError):
+        iterate_to_limit(clayton, resolution=16)
 
 
 def test_product_associative_on_random_triples(rng):
@@ -280,6 +294,23 @@ def test_idempotent_transposed_ordinal_sum(pi):
     verdict = is_idempotent(transpose(ordinal_sum([(0.0, 1 / 3)], [pi])))
     assert verdict.idempotent
     assert verdict.gap == 0.0
+
+
+def test_idempotent_loaded_transpose_takes_the_base_verdict(pi, checker3):
+    # a spec-loaded transpose wraps its base instead of distributing
+    flipped = copula_from_spec(
+        {"type": "transpose", "of": ordinal_sum([(0.0, 1 / 3)], [pi]).to_spec()}
+    )
+    assert isinstance(flipped, TransposedCopula)
+    verdict = is_idempotent(flipped)
+    assert verdict.idempotent
+    assert verdict.gap == 0.0
+    flipped = copula_from_spec({"type": "transpose", "of": checker3.to_spec()})
+    base = is_idempotent(checker3)
+    verdict = is_idempotent(flipped)
+    assert not verdict.idempotent
+    assert verdict.gap == base.gap == pytest.approx(2 / 27, abs=1e-15)
+    assert verdict.witness == base.witness[::-1]
 
 
 def test_idempotent_closed_form_compared_on_the_square_grid():

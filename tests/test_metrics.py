@@ -6,12 +6,17 @@ from copula_markov import (
     GridCopula,
     IndependenceCopula,
     ResolutionCapError,
+    archimedean_copula,
     check_quadrant_dependence,
     check_si,
+    clayton_generator,
     conditional_expectation_form,
     copula_of,
     d1_metric,
     d_inf,
+    extreme_value_copula,
+    frank_generator,
+    gumbel_pickands,
     nqd_idempotent_check,
     ordinal_sum,
     power,
@@ -119,6 +124,32 @@ def test_d1_grid_pair_respects_resolution_cap(rng, monkeypatch):
 def test_d1_midpoint_oracle_agrees(pi, upper):
     assert d1_midpoint(pi, upper, panels=512) == pytest.approx(
         d1_metric(pi, upper), abs=1e-3
+    )
+
+
+@pytest.mark.parametrize(
+    "intervals",
+    [[(0.0, 1.0)], [(0.2, 0.7)], [(0.6, 0.62)], [(0.0, 1 / 3), (0.5, 0.9)]],
+)
+def test_d1_ordinal_sum_of_independence_to_upper_bound_is_exact(pi, upper, intervals):
+    # each block contributes (b - a)^2 times the Pi-to-M distance 1/3; the
+    # gap is linear and of one sign between slice knots, so the rule is exact
+    cop = ordinal_sum(intervals, [pi] * len(intervals))
+    exact = sum((b - a) ** 2 for a, b in intervals) / 3
+    assert d1_metric(cop, upper) == pytest.approx(exact, abs=1e-12)
+
+
+def test_d1_closed_forms_agree_with_exact_and_midpoint_values(pi, upper):
+    assert d1_metric(pi, upper) == pytest.approx(1 / 3, abs=1e-12)
+    # the derivative gap of this pair changes sign inside slices, off any knot
+    clayton = archimedean_copula(clayton_generator(2.0))
+    gumbel = extreme_value_copula(gumbel_pickands(2.5))
+    assert d1_metric(clayton, gumbel) == pytest.approx(
+        d1_midpoint(clayton, gumbel, panels=1024), abs=1e-5
+    )
+    frank = archimedean_copula(frank_generator(-3.0))
+    assert d1_metric(frank, pi) == pytest.approx(
+        d1_midpoint(frank, pi, panels=1024), abs=1e-5
     )
 
 
