@@ -122,14 +122,23 @@ def markov_product(c1: Copula, c2: Copula, resolution=DEFAULT_RESOLUTION, cap=No
     at the partner grid's resolution (or ``resolution`` when both are
     closed forms).
     """
+    product = _exact_product(c1, c2)
+    if product is not None:
+        return product
+    g1, g2 = _common_grid(c1, c2, resolution=resolution, cap=cap)
+    return GridCopula(g1.matrix @ g2.matrix)
+
+
+def _exact_product(c1: Copula, c2: Copula):
+    """C1 * C2 when the upper Frechet bound (the unit) or independence (the
+    annihilator) is a factor, else None."""
     if isinstance(c1, UpperFrechetCopula):
         return c2
     if isinstance(c2, UpperFrechetCopula):
         return c1
     if isinstance(c1, IndependenceCopula) or isinstance(c2, IndependenceCopula):
         return IndependenceCopula()
-    g1, g2 = _common_grid(c1, c2, resolution=resolution, cap=cap)
-    return GridCopula(g1.matrix @ g2.matrix)
+    return None
 
 
 def quadrature_markov_product(c1: Copula, c2: Copula, panels: int):
@@ -298,9 +307,10 @@ def iterate_to_limit(
     n_steps = 0
     for step in range(1, max_iter + 1):
         nxt = GridCopula(base.matrix @ current.matrix)
-        sup_gap = metrics.sup_gap(nxt, current)[0]
-        signed_max = metrics.sup_gap(nxt, current, signed=True)[0]
-        worst_increase = max(worst_increase, max(signed_max, 0.0))
+        # the sup gap and the largest increase, from one corner difference
+        hi, _, lo, _ = metrics._corner_extremes(nxt, current)
+        sup_gap = max(abs(hi), abs(lo))
+        worst_increase = max(worst_increase, max(hi, 0.0))
         steps.append((step, sup_gap, metrics._d1_grids(nxt, current)))
         n_steps = step
         if sup_gap < tol:

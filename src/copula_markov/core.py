@@ -276,10 +276,12 @@ class GridCopula(Copula):
         input silently.
         """
         a = np.asarray(matrix, dtype=float).copy()
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvariantError("matrix must be square")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise InvariantError(f"matrix must be square and non-empty, got shape {a.shape}")
         if a.min() < 0 or not np.all(np.isfinite(a)):
             raise InvariantError("matrix must be nonnegative and finite")
+        if a.sum(axis=1).min() == 0.0 or a.sum(axis=0).min() == 0.0:
+            raise InvariantError("matrix has a zero row or column, so no rebalancing exists")
         for _ in range(max_iter):
             a /= a.sum(axis=1, keepdims=True)
             a /= a.sum(axis=0, keepdims=True)
@@ -296,8 +298,15 @@ class GridCopula(Copula):
     def _prefix(self):
         """(n+1)x(n+1) corner values n*C(k/n, l/n), i.e. 2-d prefix sums."""
         n = self.n
+        a = self.matrix
         p = np.zeros((n + 1, n + 1))
-        p[1:, 1:] = self.matrix.cumsum(axis=0).cumsum(axis=1)
+        body = p[1:, 1:]
+        # column sums row by row: the additions of cumsum(axis=0) in the
+        # same order, but along contiguous rows instead of across them
+        body[0] = a[0]
+        for k in range(1, n):
+            np.add(body[k - 1], a[k], out=body[k])
+        np.cumsum(body, axis=1, out=body)
         p.setflags(write=False)
         return p
 

@@ -39,6 +39,18 @@ def _axis_points(c1: Copula, c2: Copula, knot_getter):
     return pts
 
 
+def _corner_extremes(g1: GridCopula, g2: GridCopula):
+    """Max and min of (C1 - C2) on the corner lattice of two grids of one
+    resolution, each with its row-major flat corner index (the first one
+    attaining it): ``(max, max_index, min, min_index)``."""
+    diff = g1._prefix - g2._prefix
+    diff /= g1.n
+    flat = diff.ravel()
+    at_hi = int(np.argmax(flat))
+    at_lo = int(np.argmin(flat))
+    return float(flat[at_hi]), at_hi, float(flat[at_lo]), at_lo
+
+
 def sup_gap(c1: Copula, c2: Copula, signed=False):
     """Max of |C1 - C2| (or of C1 - C2 when ``signed``) with a point attaining it.
 
@@ -49,11 +61,15 @@ def sup_gap(c1: Copula, c2: Copula, signed=False):
     resolutions too, since their knots are all their corners.
     """
     if isinstance(c1, GridCopula) and isinstance(c2, GridCopula) and c1.n == c2.n:
-        diff = (c1._prefix - c2._prefix) / c1.n
-        if not signed:
-            diff = np.abs(diff)
-        i, j = np.unravel_index(np.argmax(diff), diff.shape)
-        return float(diff[i, j]), (int(i) / c1.n, int(j) / c1.n)
+        hi, at_hi, lo, at_lo = _corner_extremes(c1, c2)
+        if signed or abs(hi) > abs(lo):
+            gap, at = hi, at_hi
+        elif abs(lo) > abs(hi):
+            gap, at = abs(lo), at_lo
+        else:  # a tie; argmax(|diff|) would take the earlier corner
+            gap, at = abs(lo), min(at_hi, at_lo)
+        i, j = divmod(at, c1.n + 1)
+        return gap, (i / c1.n, j / c1.n)
     us = _axis_points(c1, c2, lambda c: c.knots_u)
     vs = _axis_points(c1, c2, lambda c: c.knots_v)
     best = -np.inf
@@ -116,28 +132,24 @@ def d1_metric(c1: Copula, c2: Copula) -> float:
     return _d1_slices(c1, c2)
 
 
-def _abs_linear_integral(y0, y1, width):
-    """Exact integral of |linear segment| with endpoint values y0, y1."""
-    y0 = np.asarray(y0, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    same = y0 * y1 >= 0.0
-    trapezoid = 0.5 * (np.abs(y0) + np.abs(y1))
-    denom = np.abs(y0) + np.abs(y1)
-    crossing = np.divide(
-        y0 * y0 + y1 * y1, 2.0 * denom, out=np.zeros_like(denom), where=denom > 0
-    )
-    return width * np.where(same, trapezoid, crossing)
-
-
 def _d1_grids(g1: GridCopula, g2: GridCopula) -> float:
     n = g1.n
-    delta = g1.matrix - g2.matrix
-    cum = np.zeros((n, n + 1))
-    cum[:, 1:] = np.cumsum(delta, axis=1)
-    # on u-cell k, the derivative gap is linear in v across each v-cell,
-    # running from cum[k, m] to cum[k, m + 1]
-    pieces = _abs_linear_integral(cum[:, :-1], cum[:, 1:], 1.0 / n)
-    return float(pieces.sum() / n)
+    # on u-cell k, the derivative gap is linear in v across v-cell m, from
+    # y0 = cum[k, m - 1] (0 for m = 0) to y1 = cum[k, m]
+    cum = np.subtract(g1.matrix, g2.matrix)
+    np.cumsum(cum, axis=1, out=cum)
+    neg = cum < 0.0
+    pos = cum > 0.0
+    flips = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
+    np.abs(cum, out=cum)
+    # the integral of |y| over a cell is the trapezoid (|y0| + |y1|) / 2,
+    # less |y0| |y1| / (|y0| + |y1|) where y changes sign; the trapezoids
+    # sum to every |y| with half weight on the end columns (y is 0 at v = 0)
+    trapezoid = cum.sum() - 0.5 * cum[:, -1].sum()
+    y0 = cum[:, :-1][flips]
+    y1 = cum[:, 1:][flips]
+    crossing = np.sum(y0 * y1 / (y0 + y1))
+    return float((trapezoid - crossing) / n**2)
 
 
 def _slice_knots(c1, c2, u):

@@ -128,9 +128,27 @@ def save_copula(c: Copula, path) -> None:
             raise SpecError("only checkerboard copulas can be written as CSV")
         matrix_to_csv(c.matrix, path)
         return
+    spec = c.to_spec()
+    _refuse_unloadable(spec)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(c.to_spec(), fh, sort_keys=True)
+        json.dump(spec, fh, sort_keys=True)
         fh.write("\n")
+
+
+def _refuse_unloadable(spec) -> None:
+    """Raise :class:`SpecError` for a family :func:`copula_from_spec` would
+    not know (tabulated generators, custom Pickands functions), anywhere
+    in the spec tree."""
+    table = {"archimedean": _ARCHIMEDEAN, "extreme-value": _PICKANDS}.get(spec["type"])
+    if table is not None and spec["family"] not in table:
+        raise SpecError(
+            f"cannot save: {spec['type']} family {spec['family']!r} has no "
+            f"loadable spec (known: {', '.join(sorted(table))})"
+        )
+    for sub in spec.get("components", []):
+        _refuse_unloadable(sub)
+    if "of" in spec:
+        _refuse_unloadable(spec["of"])
 
 
 def matrix_from_csv(path) -> np.ndarray:

@@ -27,7 +27,7 @@ from copula_markov import (
     si_sd_involution,
     transpose,
 )
-from copula_markov import d_inf
+from copula_markov import d_inf, metrics
 from copula_markov.serialize import copula_from_spec
 
 from conftest import CHECKER3, random_doubly_stochastic
@@ -354,6 +354,18 @@ def test_iterate_checkerboard_flattens_to_uniform(checker3):
     assert report.monotone_decrease_violation <= 1e-12
     gaps = [step[1] for step in report.steps]
     assert all(g1 >= g2 for g1, g2 in zip(gaps, gaps[1:]))
+
+
+def test_iterate_steps_are_the_sup_gaps_of_consecutive_iterates(checker3):
+    report = iterate_to_limit(checker3, tol=1e-8, max_iter=200)
+    current = checker3
+    for step, gap, d1 in report.steps:
+        nxt = GridCopula(checker3.matrix @ current.matrix)
+        assert gap == d_inf(nxt, current)
+        assert d1 == metrics._d1_grids(nxt, current)
+        current = nxt
+    assert report.sup_gap == report.steps[-1][1]
+    assert report.limit.matrix.tobytes() == current.matrix.tobytes()
 
 
 def test_iterate_rejects_non_si_input(lower):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from copula_markov import (
     power,
     sobolev_diagonal,
 )
-from copula_markov.metrics import d1_midpoint, d_inf_witness, sup_gap
+from copula_markov.metrics import _d1_grids, d1_midpoint, d_inf_witness, sup_gap
 
 from conftest import CHECKER3, random_doubly_stochastic
 
@@ -65,10 +67,14 @@ def test_d_inf_exact_for_common_resolution_grids(checker3):
     assert d_inf(checker3, other) == pytest.approx(oracle, abs=1e-15)
 
 
-def corner_values(matrix):
+def prefix_sums(matrix):
     p = np.zeros((matrix.shape[0] + 1,) * 2)
     p[1:, 1:] = matrix.cumsum(0).cumsum(1)
-    return p / matrix.shape[0]
+    return p
+
+
+def corner_values(matrix):
+    return prefix_sums(matrix) / matrix.shape[0]
 
 
 def test_sup_gap_common_resolution_grids_on_corners(rng):
@@ -81,6 +87,36 @@ def test_sup_gap_common_resolution_grids_on_corners(rng):
     signed, (u, v) = sup_gap(GridCopula(a), GridCopula(b), signed=True)
     assert signed == pytest.approx(diff.max(), abs=1e-15)
     assert diff[round(u * 6), round(v * 6)] == pytest.approx(signed, abs=1e-15)
+
+
+def reference_sup_gap(a, b, signed=False):
+    """The corner-lattice gap as argmax over the whole difference array."""
+    n = a.shape[0]
+    diff = (prefix_sums(a) - prefix_sums(b)) / n
+    if not signed:
+        diff = np.abs(diff)
+    i, j = np.unravel_index(np.argmax(diff), diff.shape)
+    return float(diff[i, j]), (int(i) / n, int(j) / n)
+
+
+def test_sup_gap_matches_argmax_reference_including_ties(rng):
+    eye = np.eye(3)
+    # rows of the identity in orders (0, 2, 1) and (1, 0, 2): the corner
+    # difference reaches +1/3 and -1/3, so |max| = |min|
+    pairs = [(eye[[0, 2, 1]], eye[[1, 0, 2]]), (eye[[1, 0, 2]], eye[[0, 2, 1]])]
+    pairs += [(CHECKER3, CHECKER3), (CHECKER3, CHECKER3.T.copy())]
+    for n in (1, 2, 7, 40):
+        for _ in range(5):
+            pairs.append(
+                (random_doubly_stochastic(rng, n, n_perms=2), random_doubly_stochastic(rng, n))
+            )
+    for a, b in pairs:
+        for signed in (False, True):
+            assert sup_gap(GridCopula(a), GridCopula(b), signed=signed) == reference_sup_gap(
+                a, b, signed=signed
+            )
+    diff = corner_values(pairs[0][0]) - corner_values(pairs[0][1])
+    assert diff.max() == -diff.min() == pytest.approx(1 / 3)
 
 
 def test_sup_gap_mixed_resolution_grids_exact(rng):
@@ -106,6 +142,50 @@ def test_sup_gap_mixed_resolution_grids_exact(rng):
 def test_d1_identical_inputs(checker3, pi):
     assert d1_metric(checker3, checker3) == 0.0
     assert d1_metric(pi, pi) == 0.0
+
+
+def reference_d1_grids(a, b):
+    """Grid D1 summed per piece: on u-cell k the derivative gap is linear
+    across v-cell m from cum[k, m] to cum[k, m + 1]."""
+    n = a.shape[0]
+    cum = np.zeros((n, n + 1))
+    cum[:, 1:] = np.cumsum(a - b, axis=1)
+    y0, y1 = cum[:, :-1], cum[:, 1:]
+    trapezoid = 0.5 * (np.abs(y0) + np.abs(y1))
+    denom = np.abs(y0) + np.abs(y1)
+    crossing = np.divide(
+        y0 * y0 + y1 * y1, 2.0 * denom, out=np.zeros_like(denom), where=denom > 0
+    )
+    pieces = (1.0 / n) * np.where(y0 * y1 >= 0.0, trapezoid, crossing)
+    return float(pieces.sum() / n)
+
+
+def test_d1_grid_kernel_matches_per_piece_reference(rng):
+    eye = np.eye(4)
+    pairs = [
+        (CHECKER3, np.full((3, 3), 1 / 3)),
+        # permutation rows: every gap row runs 0, +-1, ... and touches 0
+        (eye, eye[[1, 0, 3, 2]]),
+        (eye, eye[[3, 2, 1, 0]]),
+        (np.ones((1, 1)), np.ones((1, 1))),
+    ]
+    for n in (1, 2, 5, 33, 128):
+        for _ in range(4):
+            pairs.append(
+                (random_doubly_stochastic(rng, n, n_perms=3), random_doubly_stochastic(rng, n))
+            )
+    for a, b in pairs:
+        got = _d1_grids(GridCopula(a), GridCopula(b))
+        assert got == pytest.approx(reference_d1_grids(a, b), rel=1e-13, abs=0.0)
+        assert d1_metric(GridCopula(a), GridCopula(b)) == got
+    # a signed zero inside a crossing-free row must not divide 0 by 0
+    neg_zero = SimpleNamespace(n=2, matrix=np.array([[-0.0, 1.0], [1.0, -0.0]]))
+    flat = SimpleNamespace(n=2, matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with np.errstate(all="raise"):
+        assert _d1_grids(neg_zero, flat) == 0.0
+        assert _d1_grids(GridCopula(eye), GridCopula(eye)) == 0.0
+    for a, _ in pairs:
+        assert d1_metric(GridCopula(a), GridCopula(a)) == 0.0
 
 
 def test_d1_independence_to_upper_bound(pi, upper):

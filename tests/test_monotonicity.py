@@ -21,6 +21,8 @@ from copula_markov import (
     si_sd_involution,
 )
 
+from copula_markov.metrics import sup_gap
+
 from conftest import CHECKER3, random_doubly_stochastic
 
 
@@ -99,6 +101,34 @@ def test_dominance_with_equality_for_independence(pi, rng):
     verdict = check_dominance(d, pi)
     assert verdict.holds
     assert abs(verdict.gap) <= 1e-12
+
+
+def test_dominance_discretizes_a_closed_form_once(rng, monkeypatch):
+    d = GridCopula(random_doubly_stochastic(rng, 64))
+    clayton = archimedean_copula(clayton_generator(2.0))
+    # the verdict of the product-then-compare path, discretizing per use
+    product = markov_product(d, clayton)
+    gap, witness = sup_gap(product, clayton.discretize(product.n), signed=True)
+    calls = []
+    discretize = type(clayton).discretize
+
+    def counted(self, n):
+        calls.append(n)
+        return discretize(self, n)
+
+    monkeypatch.setattr(type(clayton), "discretize", counted)
+    verdict = check_dominance(d, clayton)
+    assert calls == [64]
+    assert (verdict.holds, verdict.gap, verdict.witness) == (bool(gap <= 1e-9), gap, witness)
+
+
+def test_dominance_short_circuits_keep_the_closed_form_comparison(pi, upper, rng):
+    clayton = archimedean_copula(clayton_generator(2.0))
+    assert check_dominance(upper, clayton).gap == sup_gap(clayton, clayton, signed=True)[0]
+    assert check_dominance(pi, clayton).gap == sup_gap(pi, clayton, signed=True)[0]
+    d = GridCopula(random_doubly_stochastic(rng, 8))
+    verdict = check_dominance(d, upper, reverse=True)
+    assert verdict.gap == sup_gap(upper.discretize(8), d, signed=True)[0]
 
 
 def test_dominance_reverses_for_sd_copulas(lower):

@@ -112,3 +112,34 @@ def test_invalid_json_file_rejected(tmp_path):
 def test_non_checkerboard_cannot_be_csv(tmp_path, pi):
     with pytest.raises(SpecError):
         save_copula(pi, str(tmp_path / "pi.csv"))
+
+
+@pytest.mark.parametrize("spec", ROUNDTRIP_SPECS, ids=lambda s: s["type"])
+def test_save_then_load_roundtrip(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    save_copula(copula_from_spec(spec), path)
+    assert load_copula(path).to_spec() == json.loads(json.dumps(spec))
+
+
+def test_save_refuses_families_the_loader_does_not_know(tmp_path):
+    from copula_markov import (
+        PickandsFunction,
+        archimedean_copula,
+        extreme_value_copula,
+        ordinal_sum,
+        tabulated_generator,
+        transpose,
+    )
+
+    s = np.linspace(0.0, 40.0, 200)
+    tabulated = archimedean_copula(tabulated_generator(s, np.exp(-s)))
+    custom = extreme_value_copula(PickandsFunction("flat", lambda t: np.ones_like(t)))
+    for name, cop in [
+        ("tabulated", tabulated),
+        ("custom", custom),
+        ("nested", ordinal_sum([(0.0, 0.5)], [transpose(custom)])),
+    ]:
+        path = tmp_path / f"{name}.json"
+        with pytest.raises(SpecError, match="cannot save"):
+            save_copula(cop, path)
+        assert not path.exists()
