@@ -126,7 +126,7 @@ def markov_product(c1: Copula, c2: Copula, resolution=DEFAULT_RESOLUTION, cap=No
     if product is not None:
         return product
     g1, g2 = _common_grid(c1, c2, resolution=resolution, cap=cap)
-    return GridCopula(g1.matrix @ g2.matrix)
+    return GridCopula._trusted(g1.matrix @ g2.matrix)
 
 
 def _exact_product(c1: Copula, c2: Copula):
@@ -169,7 +169,7 @@ def transpose(c: Copula) -> Copula:
     """(u, v) -> C(v, u); the matrix transpose on grids, and the ordinal
     sum of the transposed components over the same intervals."""
     if isinstance(c, GridCopula):
-        return GridCopula(c.matrix.T.copy())
+        return GridCopula._trusted(c.matrix.T.copy())
     if isinstance(c, OrdinalSumCopula):
         return OrdinalSumCopula(c.intervals, tuple(map(transpose, c.components)))
     if isinstance(c, TransposedCopula):
@@ -196,7 +196,7 @@ def power(c: Copula, n: int, resolution=DEFAULT_RESOLUTION, cap=None):
     if isinstance(c, (UpperFrechetCopula, IndependenceCopula)):
         return c
     (grid,) = _common_grid(c, resolution=resolution, cap=cap)
-    return GridCopula(np.linalg.matrix_power(grid.matrix, n))
+    return GridCopula._trusted(np.linalg.matrix_power(grid.matrix, n))
 
 
 @dataclass(frozen=True)
@@ -242,9 +242,11 @@ def is_idempotent(c: Copula, tol=1e-9, resolution=DEFAULT_RESOLUTION) -> Idempot
     if isinstance(c, TransposedCopula):
         sub = is_idempotent(c.base, tol=tol, resolution=resolution)
         return IdempotenceVerdict(sub.idempotent, sub.gap, sub.witness[::-1])
-    square = markov_product(c, c, resolution=resolution)
-    if isinstance(square, GridCopula):
-        c = c.discretize(square.n)
+    square = _exact_product(c, c)
+    if square is None:
+        # the grid path of markov_product, keeping the discretized C
+        (c,) = _common_grid(c, resolution=resolution)
+        square = GridCopula._trusted(c.matrix @ c.matrix)
     gap, witness = metrics.sup_gap(square, c)
     return IdempotenceVerdict(bool(gap <= tol), float(gap), witness)
 
@@ -306,7 +308,7 @@ def iterate_to_limit(
     converged = False
     n_steps = 0
     for step in range(1, max_iter + 1):
-        nxt = GridCopula(base.matrix @ current.matrix)
+        nxt = GridCopula._trusted(base.matrix @ current.matrix)
         # the sup gap and the largest increase, from one corner difference
         hi, _, lo, _ = metrics._corner_extremes(nxt, current)
         sup_gap = max(abs(hi), abs(lo))

@@ -27,7 +27,7 @@ from .algebra import (
     quadrature_markov_product,
 )
 from .core import CopulaError, DomainError, GridCopula
-from .serialize import load_copula, save_copula
+from .serialize import _write_json, load_copula, save_copula
 
 
 def _emit(obj) -> None:
@@ -108,9 +108,7 @@ def cmd_iterate(args) -> int:
         return 1
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        with open(os.path.join(args.out_dir, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(report.to_json(), os.path.join(args.out_dir, "report.json"))
         with open(os.path.join(args.out_dir, "steps.csv"), "w", encoding="utf-8") as fh:
             fh.write("step,d_inf_gap,d1_gap\n")
             for step, dinf_gap, d1_gap in report.steps:

@@ -97,17 +97,20 @@ def _ramp(n, x):
 
 
 def _validate_doubly_stochastic(matrix, tol=MATRIX_TOL, what="matrix"):
-    a = np.ascontiguousarray(np.asarray(matrix, dtype=float))
+    # one private copy, clipped in place; a NaN or an infinity shows up in
+    # the min or in a line sum, so isfinite runs only to name a failure
+    a = np.array(matrix, dtype=float, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise InvariantError(f"{what} must be square and non-empty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvariantError(f"{what} contains non-finite entries")
-    if a.min() < -tol:
-        raise InvariantError(f"{what} has a negative entry ({a.min():g})")
-    a = np.clip(a, 0.0, None)
+    low = a.min()
+    if not low >= -tol:
+        _refuse_non_finite(a, what)
+        raise InvariantError(f"{what} has a negative entry ({low:g})")
+    np.clip(a, 0.0, None, out=a)
     row_gap = np.max(np.abs(a.sum(axis=1) - 1.0))
     col_gap = np.max(np.abs(a.sum(axis=0) - 1.0))
-    if row_gap > tol or col_gap > tol:
+    if not (row_gap <= tol and col_gap <= tol):
+        _refuse_non_finite(a, what)
         raise InvariantError(
             f"{what} is not doubly stochastic within {tol:g} "
             f"(worst row gap {row_gap:.3g}, column gap {col_gap:.3g}); "
@@ -115,6 +118,26 @@ def _validate_doubly_stochastic(matrix, tol=MATRIX_TOL, what="matrix"):
         )
     a.setflags(write=False)
     return a
+
+
+def _refuse_non_finite(a, what):
+    if not np.all(np.isfinite(a)):
+        raise InvariantError(f"{what} contains non-finite entries")
+
+
+def _trusted_carrier(cls, matrix):
+    """Wrap ``matrix`` in the frozen matrix carrier ``cls`` without a copy
+    or a check.
+
+    Only for a validated carrier's own read-only matrix, or a fresh
+    C-contiguous float array the package builds from validated carriers:
+    products, transposes, refinements and coarsenings of doubly stochastic
+    matrices are doubly stochastic and nonnegative.
+    """
+    matrix.setflags(write=False)
+    carrier = object.__new__(cls)
+    object.__setattr__(carrier, "matrix", matrix)
+    return carrier
 
 
 class Copula(abc.ABC):
@@ -264,6 +287,8 @@ class GridCopula(Copula):
         a = _validate_doubly_stochastic(self.matrix)
         object.__setattr__(self, "matrix", a)
 
+    _trusted = classmethod(_trusted_carrier)
+
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
@@ -353,7 +378,7 @@ class GridCopula(Copula):
             raise DomainError("refinement factor must be >= 1")
         if r == 1:
             return self
-        return GridCopula(np.kron(self.matrix, np.full((r, r), 1.0 / r)))
+        return GridCopula._trusted(np.kron(self.matrix, np.full((r, r), 1.0 / r)))
 
     def discretize(self, n):
         n = _check_resolution(n)
@@ -364,7 +389,7 @@ class GridCopula(Copula):
         if self.n % n == 0:
             r = self.n // n
             coarse = self.matrix.reshape(n, r, n, r).sum(axis=(1, 3)) / r
-            return GridCopula(coarse)
+            return GridCopula._trusted(coarse)
         return super().discretize(n)
 
     def sample(self, count, seed):

@@ -441,8 +441,8 @@ class ExtremeValueCopula(Copula):
             r = np.log(np.minimum(vi, 1.0 - 1e-16))
             total = s + r
             t = np.where(total < 0, s / total, 0.0)
-            c = np.exp(total * self.pickands(t))
-            out[interior] = c * (self.pickands(t) + (1.0 - t) * self.pickands.derivative(t)) / ui
+            a = self.pickands(t)
+            out[interior] = np.exp(total * a) * (a + (1.0 - t) * self.pickands.derivative(t)) / ui
         return out if out.shape else float(out)
 
     def _pd2(self, u, v, side):
@@ -462,8 +462,8 @@ class ExtremeValueCopula(Copula):
             r = np.log(vi)
             total = s + r
             t = np.where(total < 0, s / total, 0.0)
-            c = np.exp(total * self.pickands(t))
-            out[interior] = c * (self.pickands(t) - t * self.pickands.derivative(t)) / vi
+            a = self.pickands(t)
+            out[interior] = np.exp(total * a) * (a - t * self.pickands.derivative(t)) / vi
         return out if out.shape else float(out)
 
     def to_spec(self):

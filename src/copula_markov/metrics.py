@@ -30,6 +30,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _D1_U_PANELS = 24
 _D1_T_CELLS = 2048
 
+#: corners per slab of the grid sup-gap kernel (a 512 KiB float buffer)
+_CORNER_SLAB = 1 << 16
+
 
 def _axis_points(c1: Copula, c2: Copula, knot_getter):
     pts = np.linspace(0.0, 1.0, AUDIT_POINTS)
@@ -43,12 +46,24 @@ def _corner_extremes(g1: GridCopula, g2: GridCopula):
     """Max and min of (C1 - C2) on the corner lattice of two grids of one
     resolution, each with its row-major flat corner index (the first one
     attaining it): ``(max, max_index, min, min_index)``."""
-    diff = g1._prefix - g2._prefix
-    diff /= g1.n
-    flat = diff.ravel()
-    at_hi = int(np.argmax(flat))
-    at_lo = int(np.argmin(flat))
-    return float(flat[at_hi]), at_hi, float(flat[at_lo]), at_lo
+    # slab by slab through one cache-sized buffer, not a fresh (n+1)^2
+    # array; a strict comparison keeps the earlier corner on a tie
+    p1 = g1._prefix.ravel()
+    p2 = g2._prefix.ravel()
+    buf = np.empty(min(p1.size, _CORNER_SLAB))
+    hi, at_hi, lo, at_lo = -np.inf, 0, np.inf, 0
+    for start in range(0, p1.size, _CORNER_SLAB):
+        stop = min(start + _CORNER_SLAB, p1.size)
+        diff = buf[: stop - start]
+        np.subtract(p1[start:stop], p2[start:stop], out=diff)
+        diff /= g1.n
+        i = int(np.argmax(diff))
+        j = int(np.argmin(diff))
+        if diff[i] > hi:
+            hi, at_hi = float(diff[i]), start + i
+        if diff[j] < lo:
+            lo, at_lo = float(diff[j]), start + j
+    return hi, at_hi, lo, at_lo
 
 
 def sup_gap(c1: Copula, c2: Copula, signed=False):

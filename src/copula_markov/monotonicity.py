@@ -159,7 +159,7 @@ def check_dominance(d: Copula, c: Copula, tol=1e-9, reverse=False) -> DominanceV
     if product is None:
         # the grid path of markov_product, keeping the discretized C
         d, c = _common_grid(d, c)
-        product = GridCopula(d.matrix @ c.matrix)
+        product = GridCopula._trusted(d.matrix @ c.matrix)
     elif isinstance(product, GridCopula):
         c = c.discretize(product.n)
     lhs, rhs = (c, product) if reverse else (product, c)

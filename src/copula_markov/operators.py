@@ -20,6 +20,7 @@ from .core import (
     GridCopula,
     IntervalFamily,
     StepFunction,
+    _trusted_carrier,
     _validate_doubly_stochastic,
 )
 
@@ -42,6 +43,8 @@ class DiscreteMarkovOperator:
         a = _validate_doubly_stochastic(self.matrix, what="operator matrix")
         object.__setattr__(self, "matrix", a)
 
+    _trusted = classmethod(_trusted_carrier)
+
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
@@ -56,7 +59,7 @@ class DiscreteMarkovOperator:
     def compose(self, other: "DiscreteMarkovOperator") -> "DiscreteMarkovOperator":
         if other.n != self.n:
             raise DomainError("operators must share a resolution")
-        return DiscreteMarkovOperator(self.matrix @ other.matrix)
+        return DiscreteMarkovOperator._trusted(self.matrix @ other.matrix)
 
     def is_idempotent(self, tol=1e-12) -> bool:
         return bool(np.max(np.abs(self.matrix @ self.matrix - self.matrix)) <= tol)
@@ -71,7 +74,7 @@ class DiscreteMarkovOperator:
 
 def operator_of(c: Copula, n: int) -> DiscreteMarkovOperator:
     """Operator of C at resolution n (the matrix of its checkerboard)."""
-    return DiscreteMarkovOperator(c.discretize(n).matrix)
+    return DiscreteMarkovOperator._trusted(c.discretize(n).matrix)
 
 
 def copula_of(op: DiscreteMarkovOperator) -> GridCopula:
@@ -80,7 +83,7 @@ def copula_of(op: DiscreteMarkovOperator) -> GridCopula:
     Inverse of :func:`operator_of` on grids: the round trip reproduces the
     matrix bit for bit.
     """
-    return GridCopula(op.matrix)
+    return GridCopula._trusted(op.matrix)
 
 
 def conditional_expectation_form(intervals, n: int) -> DiscreteMarkovOperator:

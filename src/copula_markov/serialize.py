@@ -130,9 +130,34 @@ def save_copula(c: Copula, path) -> None:
         return
     spec = c.to_spec()
     _refuse_unloadable(spec)
+    _write_json(spec, path)
+
+
+def _write_json(obj, path) -> None:
+    """Write ``obj`` to ``path`` as ``json.dump(obj, fh, sort_keys=True)``
+    does, plus a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec, fh, sort_keys=True)
+        _write_value(obj, fh)
         fh.write("\n")
+
+
+def _write_value(obj, fh):
+    # each list element is one json.dumps call, so the C encoder does the
+    # work (json.dump streams through the pure-Python one) while the text
+    # of one matrix row, not of the whole document, is held at a time
+    if isinstance(obj, dict):
+        fh.write("{")
+        for i, key in enumerate(sorted(obj)):
+            fh.write((", " if i else "") + json.dumps(key) + ": ")
+            _write_value(obj[key], fh)
+        fh.write("}")
+    elif isinstance(obj, list):
+        fh.write("[")
+        for i, item in enumerate(obj):
+            fh.write((", " if i else "") + json.dumps(item, sort_keys=True))
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj, sort_keys=True))
 
 
 def _refuse_unloadable(spec) -> None:

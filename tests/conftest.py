@@ -53,3 +53,20 @@ def lower():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def count_validations(monkeypatch):
+    """Record every boundary validation of a carrier matrix (one entry per
+    call), wherever the package looks the validator up."""
+    from copula_markov import core, operators
+
+    calls = []
+    validate = core._validate_doubly_stochastic
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_validate_doubly_stochastic", counted)
+    monkeypatch.setattr(operators, "_validate_doubly_stochastic", counted)
+    return calls

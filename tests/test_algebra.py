@@ -13,6 +13,8 @@ from copula_markov import (
     TransposedCopula,
     UpperFrechetCopula,
     archimedean_copula,
+    check_dominance,
+    check_si,
     clayton_generator,
     comonotone_pickands,
     extract_pi_ordinal_structure,
@@ -30,7 +32,7 @@ from copula_markov import (
 from copula_markov import d_inf, metrics
 from copula_markov.serialize import copula_from_spec
 
-from conftest import CHECKER3, random_doubly_stochastic
+from conftest import CHECKER3, count_validations, random_doubly_stochastic
 
 # matrix square of the workhorse example, from the matrix-product oracle
 CHECKER3_SQUARED = np.array(
@@ -321,9 +323,78 @@ def test_idempotent_closed_form_compared_on_the_square_grid():
     assert verdict.gap <= 1e-12
 
 
+def test_idempotent_closed_form_discretizes_once(monkeypatch):
+    clayton = archimedean_copula(clayton_generator(2.0))
+    # the verdict of the product-then-compare path, discretizing per use
+    square = markov_product(clayton, clayton)
+    gap, witness = metrics.sup_gap(square, clayton.discretize(square.n))
+    calls = []
+    discretize = type(clayton).discretize
+
+    def counted(self, n):
+        calls.append(n)
+        return discretize(self, n)
+
+    monkeypatch.setattr(type(clayton), "discretize", counted)
+    verdict = is_idempotent(clayton)
+    assert calls == [128]
+    assert (verdict.idempotent, verdict.gap, verdict.witness) == (bool(gap <= 1e-9), gap, witness)
+
+
 def test_is_idempotent_requires_positive_tol(pi):
     with pytest.raises(DomainError):
         is_idempotent(pi, tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# carriers built from validated carriers are trusted
+# ---------------------------------------------------------------------------
+
+
+def test_internal_results_are_read_only_and_match_the_public_constructor(rng, checker3):
+    a = GridCopula(random_doubly_stochastic(rng, 6))
+    b = GridCopula(random_doubly_stochastic(rng, 6))
+    report = iterate_to_limit(checker3)
+    limit = checker3.matrix
+    for _ in range(report.n_steps):
+        limit = checker3.matrix @ limit
+    results = [
+        (markov_product(a, b), a.matrix @ b.matrix),
+        (markov_product(a, checker3), a.matrix @ np.kron(CHECKER3, np.full((2, 2), 0.5))),
+        (transpose(a), a.matrix.T.copy()),
+        (a.refined(3), np.kron(a.matrix, np.full((3, 3), 1 / 3))),
+        (a.refined(2).discretize(6), a.refined(2).matrix.reshape(6, 2, 6, 2).sum(axis=(1, 3)) / 2),
+        (power(a, 1), a.matrix),
+        (power(a, 5), np.linalg.matrix_power(a.matrix, 5)),
+        (report.limit, limit),
+    ]
+    for grid, matrix in results:
+        assert not grid.matrix.flags.writeable
+        assert grid.matrix.tobytes() == GridCopula(matrix).matrix.tobytes()
+
+
+def test_iterate_validates_only_its_input(monkeypatch):
+    calls = count_validations(monkeypatch)
+    # a mixture of the upper bound and independence: SI, converging to Pi
+    report = iterate_to_limit(GridCopula(0.5 * np.eye(8) + 0.5 / 8))
+    assert report.converged and report.n_steps > 1
+    assert len(calls) == 1
+
+
+def test_grid_algebra_validates_nothing_beyond_its_operands(rng, monkeypatch):
+    calls = count_validations(monkeypatch)
+    a = GridCopula(random_doubly_stochastic(rng, 4))
+    b = GridCopula(random_doubly_stochastic(rng, 6))
+    assert len(calls) == 2
+    markov_product(a, b)
+    transpose(a)
+    power(b, 3)
+    is_idempotent(a)
+    check_si(a, component=2)
+    check_dominance(a, b)
+    metrics.sobolev_diagonal(a)
+    metrics.d1_metric(a, b)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,7 @@ def test_iterate_checkerboard(specs, capsys, tmp_path):
     assert report["converged"] is True
     assert report["n_steps"] <= 60
     assert report["intervals"] == [[0.0, 1.0]]
+    assert open(f"{out_dir}/report.json").read() == out
     lines = open(f"{out_dir}/steps.csv").read().strip().splitlines()
     assert lines[0] == "step,d_inf_gap,d1_gap"
     assert len(lines) == report["n_steps"] + 1

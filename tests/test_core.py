@@ -373,6 +373,37 @@ def test_grid_matrix_is_immutable(checker3):
         checker3.matrix[0, 0] = 0.5
 
 
+def test_grid_constructor_copies_its_input():
+    m = CHECKER3.copy()
+    grid = GridCopula(m)
+    m[0, 0] = 0.0
+    assert grid.matrix.tobytes() == CHECKER3.tobytes()
+    assert not grid.matrix.flags.writeable
+    assert m.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("also_negative", [False, True])
+def test_grid_rejects_non_finite_entries_before_negative_ones(bad, also_negative):
+    m = CHECKER3.copy()
+    m[1, 1] = bad
+    if also_negative:
+        m[0, 0] = -0.5
+    with pytest.raises(InvariantError, match="non-finite"):
+        GridCopula(m)
+
+
+@pytest.mark.parametrize("tiny", [-1e-12, -0.0])
+def test_grid_stores_tiny_negatives_as_positive_zero(tiny):
+    m = CHECKER3.copy()
+    m[0, 1] = tiny
+    m[2, 0] = tiny
+    stored = GridCopula(m).matrix
+    assert stored[0, 1] == stored[2, 0] == 0.0
+    assert not np.signbit(stored).any()
+    assert stored.tobytes() == CHECKER3.tobytes()
+
+
 def test_carrier_equality_is_identity_not_elementwise(checker3):
     # array-valued carriers compare by identity; matrices compare via numpy
     other = GridCopula(CHECKER3)

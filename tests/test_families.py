@@ -184,6 +184,28 @@ def test_ev_partial_derivative_against_finite_differences(rng):
         assert cop.partial_derivative(2, u, v) == pytest.approx(fd2, abs=1e-6)
 
 
+def test_ev_partial_derivatives_evaluate_pickands_once(rng):
+    gumbel = gumbel_pickands(2.5)
+    calls = []
+
+    def counted(t):
+        calls.append(1)
+        return gumbel.func(t)
+
+    cop = extreme_value_copula(PickandsFunction("gumbel", counted, gumbel.deriv, 2.5))
+    u, v = rng.uniform(0.05, 0.95, size=(2, 40))
+    # the displayed formula, with A evaluated per use
+    s, r = np.log(u), np.log(v)
+    t = s / (s + r)
+    a = gumbel(t)
+    d1 = np.exp((s + r) * gumbel(t)) * (a + (1.0 - t) * gumbel.derivative(t)) / u
+    d2 = np.exp((s + r) * gumbel(t)) * (a - t * gumbel.derivative(t)) / v
+    for component, reference in ((1, d1), (2, d2)):
+        calls.clear()
+        assert cop.partial_derivative(component, u, v).tobytes() == reference.tobytes()
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("theta", [1.5, 2.0, 4.0])
 def test_ev_si_in_both_components_at_grid_64(theta):
     cop = extreme_value_copula(gumbel_pickands(theta))

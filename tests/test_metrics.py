@@ -24,7 +24,14 @@ from copula_markov import (
     power,
     sobolev_diagonal,
 )
-from copula_markov.metrics import _d1_grids, d1_midpoint, d_inf_witness, sup_gap
+from copula_markov.metrics import (
+    _CORNER_SLAB,
+    _corner_extremes,
+    _d1_grids,
+    d1_midpoint,
+    d_inf_witness,
+    sup_gap,
+)
 
 from conftest import CHECKER3, random_doubly_stochastic
 
@@ -117,6 +124,38 @@ def test_sup_gap_matches_argmax_reference_including_ties(rng):
             )
     diff = corner_values(pairs[0][0]) - corner_values(pairs[0][1])
     assert diff.max() == -diff.min() == pytest.approx(1 / 3)
+
+
+def reference_corner_extremes(g1, g2):
+    """The corner extremes from argmax/argmin over the whole difference array."""
+    flat = ((g1._prefix - g2._prefix) / g1.n).ravel()
+    hi, lo = int(np.argmax(flat)), int(np.argmin(flat))
+    return float(flat[hi]), hi, float(flat[lo]), lo
+
+
+@pytest.mark.parametrize("n", [1, 3, 300, 700])
+def test_corner_extremes_match_the_full_array_reference(rng, n):
+    a = GridCopula(random_doubly_stochastic(rng, n, n_perms=min(n, 12)))
+    b = GridCopula(random_doubly_stochastic(rng, n, n_perms=min(n, 12)))
+    assert _corner_extremes(a, b) == reference_corner_extremes(a, b)
+
+
+def test_corner_extremes_ties_across_slabs_take_the_earlier_corner(rng):
+    n = 700  # 701^2 corners span several slabs
+    size = (n + 1) ** 2
+    assert size > 4 * _CORNER_SLAB
+    zero = SimpleNamespace(n=n, _prefix=np.zeros((n + 1, n + 1)))
+    flat = rng.random(size)
+    # each extreme is attained twice, in the first and in a later slab
+    flat[[17, 3 * _CORNER_SLAB + 5]] = 2.0
+    flat[[_CORNER_SLAB - 1, 4 * _CORNER_SLAB]] = -1.0
+    p = SimpleNamespace(n=n, _prefix=flat.reshape(n + 1, n + 1))
+    result = _corner_extremes(p, zero)
+    assert result == reference_corner_extremes(p, zero)
+    assert result[1] == 17 and result[3] == _CORNER_SLAB - 1
+    # a strictly larger value in a later slab wins
+    flat[3 * _CORNER_SLAB + 5] = 3.0
+    assert _corner_extremes(p, zero)[:2] == (3.0 / n, 3 * _CORNER_SLAB + 5)
 
 
 def test_sup_gap_mixed_resolution_grids_exact(rng):

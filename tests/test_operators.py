@@ -18,7 +18,7 @@ from copula_markov import (
     ordinal_sum,
 )
 
-from conftest import CHECKER3, random_doubly_stochastic
+from conftest import CHECKER3, count_validations, random_doubly_stochastic
 
 
 def block_config(n=6):
@@ -83,6 +83,20 @@ def test_roundtrip_is_bit_exact(rng):
         n = int(rng.integers(1, 12))
         g = GridCopula(random_doubly_stochastic(rng, n))
         assert np.array_equal(copula_of(operator_of(g, n)).matrix, g.matrix)
+
+
+def test_carrier_built_operators_are_not_validated_again(rng, monkeypatch):
+    g = GridCopula(random_doubly_stochastic(rng, 5))
+    calls = count_validations(monkeypatch)
+    op = operator_of(g, 5)
+    composed = operator_of(g, 10).compose(operator_of(g, 10))
+    back = copula_of(op)
+    assert calls == []
+    assert back.matrix.tobytes() == g.matrix.tobytes()
+    assert not composed.matrix.flags.writeable
+    assert not back.matrix.flags.writeable
+    DiscreteMarkovOperator(g.matrix)
+    assert calls == [1]
 
 
 def test_composition_isomorphism(rng):

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -119,6 +120,20 @@ def test_save_then_load_roundtrip(tmp_path, spec):
     path = tmp_path / "spec.json"
     save_copula(copula_from_spec(spec), path)
     assert load_copula(path).to_spec() == json.loads(json.dumps(spec))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ROUNDTRIP_SPECS + [{"type": "checkerboard", "matrix": (np.eye(64) * 0.75 + 0.25 / 64).tolist()}],
+    ids=lambda s: s["type"],
+)
+def test_saved_spec_bytes_match_json_dump(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    cop = copula_from_spec(spec)
+    save_copula(cop, path)
+    reference = io.StringIO()
+    json.dump(cop.to_spec(), reference, sort_keys=True)
+    assert path.read_bytes() == (reference.getvalue() + "\n").encode("utf-8")
 
 
 def test_save_refuses_families_the_loader_does_not_know(tmp_path):
