@@ -287,15 +287,28 @@ def iterate_to_limit(
     interval_tol=1e-6,
 ) -> IterateReport:
     """Iterate the Markov product of C with itself until consecutive
-    iterates agree within ``tol`` in sup distance.
+    iterates agree within ``tol`` in sup distance, for at most ``max_iter``
+    steps.
 
     Requires C stochastically increasing in the first component (the
     iterates then decrease pointwise, which is also verified and reported
     as ``monotone_decrease_violation``).  The limit's diagonal structure is
     extracted into an interval family.
+
+    The next product needs only the current iterate, so it runs on one
+    worker thread while this thread measures the current step's gaps
+    (numpy's matmul releases the GIL).  Only the matmul runs there; the
+    results are those of the serial loop, and a product computed past the
+    last step is discarded (an error it raises is not).
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from .monotonicity import check_si
 
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    if max_iter < 1:
+        raise DomainError("max_iter must be >= 1")
     (base,) = _common_grid(c, resolution=resolution)
     verdict = check_si(base, component=1, tol=1e-9)
     if not verdict.si:
@@ -303,30 +316,31 @@ def iterate_to_limit(
 
     current = base
     steps = []
-    sup_gap = np.inf
     worst_increase = 0.0
     converged = False
-    n_steps = 0
-    for step in range(1, max_iter + 1):
-        nxt = GridCopula._trusted(base.matrix @ current.matrix)
-        # the sup gap and the largest increase, from one corner difference
-        hi, _, lo, _ = metrics._corner_extremes(nxt, current)
-        sup_gap = max(abs(hi), abs(lo))
-        worst_increase = max(worst_increase, max(hi, 0.0))
-        steps.append((step, sup_gap, metrics._d1_grids(nxt, current)))
-        n_steps = step
-        if sup_gap < tol:
-            converged = True
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = worker.submit(np.matmul, base.matrix, base.matrix)
+        for step in range(1, max_iter + 1):
+            nxt = GridCopula._trusted(pending.result())
+            if step < max_iter:
+                pending = worker.submit(np.matmul, base.matrix, nxt.matrix)
+            # the sup gap and the largest increase, from one corner difference
+            hi, _, lo, _ = metrics._corner_extremes(nxt, current)
+            sup_gap = max(abs(hi), abs(lo))
+            worst_increase = max(worst_increase, max(hi, 0.0))
+            steps.append((step, sup_gap, metrics._d1_grids(nxt, current)))
             current = nxt
-            break
-        current = nxt
+            if sup_gap < tol:
+                converged = True
+                break
+        pending.result()  # a product past the last step is discarded, its error is not
 
     if converged:
         intervals = extract_pi_ordinal_structure(current, tol=interval_tol).intervals
     else:
         intervals = IntervalFamily(())  # no limit reached, nothing to decompose
     return IterateReport(
-        n_steps=n_steps,
+        n_steps=len(steps),
         limit=current,
         intervals=intervals,
         sup_gap=float(sup_gap),

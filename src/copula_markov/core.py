@@ -132,7 +132,8 @@ def _trusted_carrier(cls, matrix):
     Only for a validated carrier's own read-only matrix, or a fresh
     C-contiguous float array the package builds from validated carriers:
     products, transposes, refinements and coarsenings of doubly stochastic
-    matrices are doubly stochastic and nonnegative.
+    matrices are doubly stochastic and nonnegative.  Likewise the grids of
+    independence and the Frechet bounds, which are built that way.
     """
     matrix.setflags(write=False)
     carrier = object.__new__(cls)
@@ -452,8 +453,9 @@ class IndependenceCopula(Copula):
         return w.copy()
 
     def discretize(self, n):
+        # every line holds n entries 1/n: doubly stochastic by construction
         n = _check_resolution(n)
-        return GridCopula(np.full((n, n), 1.0 / n))
+        return GridCopula._trusted(np.full((n, n), 1.0 / n))
 
     def to_spec(self):
         return {"type": "product"}
@@ -495,8 +497,9 @@ class UpperFrechetCopula(Copula):
         return (float(u),)
 
     def discretize(self, n):
-        # mass sits on the diagonal v = u, one cell's worth per diagonal cell
-        return GridCopula(np.eye(_check_resolution(n)))
+        # mass sits on the diagonal v = u, one cell's worth per diagonal
+        # cell: a permutation matrix, doubly stochastic by construction
+        return GridCopula._trusted(np.eye(_check_resolution(n)))
 
     def to_spec(self):
         return {"type": "frechet-upper"}
@@ -538,8 +541,8 @@ class LowerFrechetCopula(Copula):
         return (1.0 - float(u),)
 
     def discretize(self, n):
-        # mass sits on the antidiagonal v = 1 - u
-        return GridCopula(np.eye(_check_resolution(n))[::-1].copy())
+        # mass sits on the antidiagonal v = 1 - u (a permutation matrix)
+        return GridCopula._trusted(np.eye(_check_resolution(n))[::-1].copy())
 
     def to_spec(self):
         return {"type": "frechet-lower"}

@@ -1,3 +1,6 @@
+import threading
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from copula_markov import (
     TransposedCopula,
     UpperFrechetCopula,
     archimedean_copula,
+    check_complete_dependence,
     check_dominance,
     check_si,
     clayton_generator,
@@ -29,7 +33,7 @@ from copula_markov import (
     si_sd_involution,
     transpose,
 )
-from copula_markov import d_inf, metrics
+from copula_markov import core, d_inf, metrics
 from copula_markov.serialize import copula_from_spec
 
 from conftest import CHECKER3, count_validations, random_doubly_stochastic
@@ -394,6 +398,7 @@ def test_grid_algebra_validates_nothing_beyond_its_operands(rng, monkeypatch):
     check_dominance(a, b)
     metrics.sobolev_diagonal(a)
     metrics.d1_metric(a, b)
+    check_complete_dependence(b)
     assert len(calls) == 2
 
 
@@ -457,6 +462,121 @@ def test_iterate_aligned_ordinal_sum_is_fixed(pi):
     assert report.converged
     assert report.n_steps == 1
     assert report.intervals.to_list() == [[0.0, 0.5], [0.5, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("tol", 0.0), ("tol", -1e-8), ("tol", float("nan")), ("max_iter", 0), ("max_iter", -1)],
+)
+def test_iterate_refuses_non_positive_tol_and_fewer_than_one_step(checker3, option, value):
+    with pytest.raises(DomainError, match=option):
+        iterate_to_limit(checker3, **{option: value})
+
+
+# ---------------------------------------------------------------------------
+# the iterate pipeline: the next product overlaps the current step's gaps
+# ---------------------------------------------------------------------------
+
+
+def si_grid(n, planted):
+    """A stochastically increasing grid: a Sinkhorn-balanced Gaussian kernel
+    (totally positive, so SI), optionally cut into diagonal blocks."""
+    x = (np.arange(n) + 0.5) / n
+    kernel = np.exp(-8.0 * (x[:, None] - x[None, :]) ** 2)
+    if planted:
+        kernel *= (x[:, None] < 0.5) == (x[None, :] < 0.5)
+    return GridCopula.renormalized(kernel)
+
+
+def serial_iterate(base, tol, max_iter):
+    """The serial loop the pipeline replaced: product, then gaps, per step."""
+    current = base
+    steps = []
+    worst_increase = 0.0
+    for step in range(1, max_iter + 1):
+        nxt = GridCopula._trusted(base.matrix @ current.matrix)
+        hi, _, lo, _ = metrics._corner_extremes(nxt, current)
+        sup_gap = max(abs(hi), abs(lo))
+        worst_increase = max(worst_increase, max(hi, 0.0))
+        steps.append((step, sup_gap, metrics._d1_grids(nxt, current)))
+        current = nxt
+        if sup_gap < tol:
+            break
+    return current, tuple(steps), sup_gap, worst_increase
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 200])
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("max_iter", [200, 3])
+def test_iterate_pipeline_matches_the_serial_loop(n, planted, max_iter):
+    base = si_grid(n, planted)
+    report = iterate_to_limit(base, tol=1e-8, max_iter=max_iter)
+    limit, steps, sup_gap, worst_increase = serial_iterate(base, 1e-8, max_iter)
+    assert report.limit.matrix.tobytes() == limit.matrix.tobytes()
+    assert report.steps == steps
+    assert report.n_steps == len(steps)
+    assert report.sup_gap == sup_gap
+    assert report.monotone_decrease_violation == worst_increase
+    assert report.converged == (sup_gap < 1e-8)
+    if max_iter == 3 and n > 1:
+        assert not report.converged and report.n_steps == 3
+
+
+def test_iterate_leaves_no_thread_behind(checker3, monkeypatch):
+    before = threading.active_count()
+    assert iterate_to_limit(checker3).converged
+    assert threading.active_count() == before
+    assert not iterate_to_limit(checker3, max_iter=3).converged
+    assert threading.active_count() == before
+
+    matmul = np.matmul
+    for c, failing_call in ((checker3, 3), (GridCopula(np.eye(4)), 2)):
+        # the third product of a long run, or the one past the last step
+        products = []
+
+        def failing(a, b):
+            products.append(1)
+            if len(products) == failing_call:
+                raise FloatingPointError("worker product failed")
+            return matmul(a, b)
+
+        monkeypatch.setattr(np, "matmul", failing)
+        with pytest.raises(FloatingPointError, match="worker product failed"):
+            iterate_to_limit(c)
+        assert len(products) == failing_call
+        assert threading.active_count() == before
+
+
+def test_iterate_runs_package_code_on_the_calling_thread(monkeypatch):
+    """The benchmark's tracer keeps one span stack without a lock, so only
+    the matmul may leave the calling thread."""
+    seen = {}
+
+    def recorded(name, func):
+        def wrapper(*args, **kwargs):
+            seen.setdefault(name, set()).add(threading.get_ident())
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    prefix = cached_property(recorded("prefix", GridCopula.__dict__["_prefix"].func))
+    prefix.__set_name__(GridCopula, "_prefix")
+    monkeypatch.setattr(GridCopula, "_prefix", prefix)
+    monkeypatch.setattr(metrics, "_d1_grids", recorded("d1", metrics._d1_grids))
+    monkeypatch.setattr(
+        core, "_validate_doubly_stochastic", recorded("validate", core._validate_doubly_stochastic)
+    )
+    trusted = GridCopula.__dict__["_trusted"].__func__
+    monkeypatch.setattr(GridCopula, "_trusted", classmethod(recorded("trusted", trusted)))
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", recorded("matmul", matmul))
+
+    report = iterate_to_limit(GridCopula(si_grid(16, planted=True).matrix))
+    assert report.converged and report.n_steps > 2
+    caller = {threading.get_ident()}
+    for name in ("prefix", "d1", "validate", "trusted"):
+        assert seen[name] == caller, name
+    assert seen["matmul"].isdisjoint(caller)
 
 
 # ---------------------------------------------------------------------------

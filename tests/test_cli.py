@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import copula_markov
 from copula_markov.cli import main
 
 from conftest import CHECKER3
@@ -197,6 +201,27 @@ def test_iterate_non_convergence_exit_code(specs, capsys):
     )
     assert code == 3
     assert json.loads(out)["converged"] is False
+
+
+@pytest.mark.parametrize(
+    "option, value, word", [("--max-iter", "0", "max_iter"), ("--tol", "0", "tol")]
+)
+def test_iterate_refuses_empty_or_endless_runs(specs, capsys, option, value, word):
+    code, out, err = run(capsys, "iterate", specs["cplus.json"], option, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and word in err
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # iterate imports its executor when it runs, not at every start
+    src = os.path.dirname(os.path.dirname(copula_markov.__file__))
+    probe = "import sys, copula_markov.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------

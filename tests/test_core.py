@@ -18,7 +18,7 @@ from copula_markov import (
 from copula_markov import metrics
 from copula_markov.core import cell_index
 
-from conftest import CHECKER3, random_doubly_stochastic
+from conftest import CHECKER3, count_validations, random_doubly_stochastic
 
 
 def cell_mass_cdf(matrix, u, v):
@@ -187,6 +187,20 @@ def test_discretize_lower_bound_antidiagonal(lower):
 
 def test_discretize_upper_bound_identity(upper):
     assert np.array_equal(upper.discretize(3).matrix, np.eye(3))
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 64])
+def test_independence_and_frechet_grids_skip_the_boundary_check(pi, upper, lower, n, monkeypatch):
+    calls = count_validations(monkeypatch)
+    grids = [
+        (pi.discretize(n), np.full((n, n), 1.0 / n)),
+        (upper.discretize(n), np.eye(n)),
+        (lower.discretize(n), np.eye(n)[::-1]),
+    ]
+    assert calls == []
+    for grid, matrix in grids:
+        assert grid.matrix.flags.c_contiguous and not grid.matrix.flags.writeable
+        assert grid.matrix.tobytes() == GridCopula(matrix).matrix.tobytes()
 
 
 def test_discretize_is_projection(checker3):
