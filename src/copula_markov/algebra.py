@@ -148,6 +148,11 @@ def quadrature_markov_product(c1: Copula, c2: Copula, panels: int):
     for the matrix path; with both operands on a common grid of resolution
     n and ``panels`` a multiple of n, the piecewise-constant integrand is
     integrated exactly.
+
+    Each operand's derivative is tabulated on its own argument against the
+    panel midpoints.  A lattice, u a column (m, 1) and v a row (k,) or
+    (1, k), is then one (m, panels) by (panels, k) matrix product; other
+    points broadcast the two tables and sum over the panels.
     """
     if panels < 8:
         raise DomainError("panel count must be >= 8")
@@ -156,7 +161,10 @@ def quadrature_markov_product(c1: Copula, c2: Copula, panels: int):
     def value(u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        u, v = np.broadcast_arrays(u, v)
+        if u.ndim == 2 and u.shape[1] == 1 and v.shape in ((v.size,), (1, v.size)):
+            left = np.asarray(c1.partial_derivative(2, u, t))
+            right = np.asarray(c2.partial_derivative(1, t[:, None], v.reshape(-1)))
+            return left @ right / panels
         left = np.asarray(c1.partial_derivative(2, u[..., None], t))
         right = np.asarray(c2.partial_derivative(1, t, v[..., None]))
         out = (left * right).sum(axis=-1) / panels
@@ -376,15 +384,18 @@ def _diagonal_gap(c: Copula, v):
     return v - np.asarray(c.cdf(v, v))
 
 
-def _refine_edge(c, lo, hi, eps=1e-12, iters=80):
-    """Boundary of {v : v - C(v, v) > eps} inside (lo, hi) by bisection."""
-    g_lo = float(_diagonal_gap(c, lo))
+def _refine_edges(c, lo, hi, gap_lo, eps=1e-12, iters=80):
+    """Boundaries of {v : v - C(v, v) > eps}, one inside each bracket
+    (lo[i], hi[i]) whose diagonal gap at lo[i] is ``gap_lo[i]``, by
+    bisecting every bracket at once: one cdf call per step."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    side_lo = np.asarray(gap_lo) > eps
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if (float(_diagonal_gap(c, mid)) > eps) == (g_lo > eps):
-            lo = mid
-        else:
-            hi = mid
+        keep_lo_side = (_diagonal_gap(c, mid) > eps) == side_lo
+        lo = np.where(keep_lo_side, mid, lo)
+        hi = np.where(keep_lo_side, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -413,35 +424,28 @@ def extract_pi_ordinal_structure(c: Copula, tol=1e-6, scan=1024) -> PiDecomposit
         points = np.arange(1, scan) / scan
         refine = True
 
-    if points.size:
-        fixed = _diagonal_gap(c, points) <= tol
-    else:
-        fixed = np.zeros(0, dtype=bool)
-
-    intervals = []
-    i = 0
+    gaps = _diagonal_gap(c, points)
+    # runs of scan points off the fixed set: starts[r] .. stops[r]
+    free = np.concatenate([[False], gaps > tol, [False]])
+    starts = np.flatnonzero(free[1:-1] & ~free[:-2])
+    stops = np.flatnonzero(free[1:-1] & ~free[2:])
     m = points.size
-    while i < m:
-        if fixed[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < m and not fixed[j + 1]:
-            j += 1
-        if i == 0:
-            left = 0.0
-        elif refine:
-            left = _refine_edge(c, points[i - 1], points[i])
-        else:
-            left = float(points[i - 1])
-        if j == m - 1:
-            right = 1.0
-        elif refine:
-            right = _refine_edge(c, points[j + 1], points[j])
-        else:
-            right = float(points[j + 1])
-        intervals.append((left, right))
-        i = j + 1
+    # a run's end lies between its outermost free point and the fixed scan
+    # point beside it, or at 0 or 1 when the run reaches the end of the scan
+    has_left = starts > 0
+    has_right = stops < m - 1
+    fixed_side = np.concatenate([starts[has_left] - 1, stops[has_right] + 1])
+    free_side = np.concatenate([starts[has_left], stops[has_right]])
+    if refine and fixed_side.size:
+        ends = _refine_edges(c, points[fixed_side], points[free_side], gaps[fixed_side])
+    else:
+        ends = points[fixed_side]
+    split = np.count_nonzero(has_left)
+    lefts = np.zeros(starts.size)
+    lefts[has_left] = ends[:split]
+    rights = np.ones(stops.size)
+    rights[has_right] = ends[split:]
+    intervals = [(float(a), float(b)) for a, b in zip(lefts, rights)]
 
     if m == 0:
         # resolution-1 grids carry a single block covering everything

@@ -83,10 +83,8 @@ def cmd_product(args) -> int:
             panels = args.panels or result.n * max(1, -(-8 // result.n))
             quad = quadrature_markov_product(a, b, panels)
             axis = np.arange(result.n + 1) / result.n
-            worst = 0.0
-            for i, u in enumerate(axis):
-                row = np.asarray(quad(u, axis))
-                worst = max(worst, float(np.max(np.abs(row - result.corner_cdf()[i, :]))))
+            lattice = quad(axis[:, None], axis)
+            worst = float(np.max(np.abs(lattice - result.corner_cdf())))
             summary["oracle_panels"] = panels
             summary["oracle_max_discrepancy"] = worst
     _emit(summary)

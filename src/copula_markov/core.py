@@ -90,12 +90,6 @@ def cell_index(n, x, side="right"):
     return np.clip(k, 0, n - 1)
 
 
-def _ramp(n, x):
-    """Weights w_l(x) = clamp(n*x - l, 0, 1), the fraction of cell l below x."""
-    x = np.asarray(x, dtype=float)
-    return np.clip(n * x[..., None] - np.arange(n, dtype=float), 0.0, 1.0)
-
-
 def _validate_doubly_stochastic(matrix, tol=MATRIX_TOL, what="matrix"):
     # one private copy, clipped in place; a NaN or an infinity shows up in
     # the min or in a line sum, so isfinite runs only to name a failure
@@ -358,19 +352,21 @@ class GridCopula(Copula):
         ) / n
         return val if val.shape else float(val)
 
+    @cached_property
+    def _row_sums(self):
+        """(n, n+1) running sums along each row of the matrix, from 0."""
+        return _running_sums(self.matrix)
+
+    @cached_property
+    def _column_sums(self):
+        """(n, n+1) running sums down each column of the matrix, from 0."""
+        return _running_sums(self.matrix.T)
+
     def _pd1(self, u, v, side):
-        u, v = np.broadcast_arrays(u, v)
-        k = cell_index(self.n, u, side=side)
-        w = _ramp(self.n, v)
-        out = np.einsum("...l,...l->...", self.matrix[k, :], w)
-        return out if out.shape else float(out)
+        return _line_derivative(self._row_sums, self.matrix, u, v, side)
 
     def _pd2(self, u, v, side):
-        u, v = np.broadcast_arrays(u, v)
-        l = cell_index(self.n, v, side=side)
-        w = _ramp(self.n, u)
-        out = np.einsum("...l,...l->...", self.matrix.T[l, :], w)
-        return out if out.shape else float(out)
+        return _line_derivative(self._column_sums, self.matrix.T, v, u, side)
 
     def refined(self, factor):
         """Equivalent checkerboard on the (factor*n)-grid (same copula)."""
@@ -425,6 +421,26 @@ class GridCopula(Copula):
 
     def to_spec(self):
         return {"type": "checkerboard", "matrix": self.matrix.tolist()}
+
+
+def _running_sums(a):
+    out = np.zeros((a.shape[0], a.shape[1] + 1))
+    np.cumsum(a, axis=1, out=out[:, 1:])
+    out.setflags(write=False)
+    return out
+
+
+def _line_derivative(sums, a, x, y, side):
+    """Derivative of a grid cdf in x: line k = cell(x) of the matrix ``a``,
+    summed up to y.  With m = floor(n y) that is the running sum over the
+    cells before m plus the fraction n y - m of cell m, read in O(1) per
+    point; x and y broadcast against each other."""
+    n = a.shape[0]
+    k = cell_index(n, x, side=side)
+    ny = n * y
+    m = np.clip(np.floor(ny), 0, n - 1).astype(np.intp)
+    out = sums[k, m] + np.clip(ny - m, 0.0, 1.0) * a[k, m]
+    return out if out.shape else float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -214,11 +214,15 @@ def _invert_decreasing(f, y, hi_start=1.0, tol=1e-12, max_doublings=400):
             break
         hi = np.where(need, hi * 2.0, hi)
     lo = np.zeros_like(hi)
-    while np.max(hi - lo) > tol:
+    # each point stops once its own bracket is within tol, so its value
+    # does not depend on the other points solved alongside it
+    open_ = hi - lo > tol
+    while np.any(open_):
         mid = 0.5 * (lo + hi)
         high_side = np.asarray(f(mid)) > y
-        lo = np.where(high_side, mid, lo)
-        hi = np.where(high_side, hi, mid)
+        lo = np.where(open_ & high_side, mid, lo)
+        hi = np.where(open_ & ~high_side, mid, hi)
+        open_ = hi - lo > tol
     out = 0.5 * (lo + hi)
     return float(out[0]) if scalar else out
 
@@ -255,47 +259,59 @@ def is_si_archimedean(gen: ArchimedeanGenerator, tol=1e-9, points=1001):
 
 @dataclass(frozen=True, eq=False)
 class ArchimedeanCopula(Copula):
-    """C(u, v) = phi(phi_inverse(u) + phi_inverse(v))."""
+    """C(u, v) = phi(phi_inverse(u) + phi_inverse(v)).
+
+    ``phi_inverse`` (and ``phi_prime`` of it) runs once per value of each
+    argument, before the two broadcast against each other, so a u-by-v
+    lattice costs one ``phi`` or ``phi_prime`` per point.  The edges 0 and
+    1 take the margin limits.
+    """
 
     generator: ArchimedeanGenerator
 
     def cdf(self, u, v):
         u = _check_unit(u, "u")
         v = _check_unit(v, "v")
-        u, v = np.broadcast_arrays(u, v)
-        out = np.empty(u.shape)
-        zero = (u == 0.0) | (v == 0.0)
-        u_one = (v == 1.0) & ~zero
-        v_one = (u == 1.0) & ~zero & ~u_one
-        interior = ~(zero | u_one | v_one)
-        out[zero] = 0.0
-        out[u_one] = u[u_one]
-        out[v_one] = v[v_one]
-        if np.any(interior):
-            g = self.generator
-            s = np.asarray(g.phi_inverse(u[interior])) + np.asarray(g.phi_inverse(v[interior]))
-            out[interior] = g.phi(s)
+        g = self.generator
+        tu, inner_u = _on_open_unit(g.phi_inverse, u, u)
+        tv, inner_v = _on_open_unit(g.phi_inverse, v, v)
+        # on an edge the placeholder 0 leaves phi of the other argument's
+        # transform, or phi(0) = 1 (checked when the generator is built)
+        out = np.asarray(g.phi(tu + tv), dtype=float)
+        if not (inner_u.all() and inner_v.all()):
+            u, v = np.broadcast_arrays(u, v)
+            zero = (u == 0.0) | (v == 0.0)
+            u_one = (v == 1.0) & ~zero
+            v_one = (u == 1.0) & ~zero & ~u_one
+            out[zero] = 0.0
+            out[u_one] = u[u_one]
+            out[v_one] = v[v_one]
         return out if out.shape else float(out)
 
     def _pd1(self, u, v, side):
         g = self.generator
         if g.phi_prime is None:
             return super()._pd1(u, v, side)
-        u, v = np.broadcast_arrays(u, v)
-        out = np.empty(u.shape)
-        v_zero = v == 0.0
-        v_one = (v == 1.0) & ~v_zero
-        u_edge = ((u == 0.0) | (u == 1.0)) & ~(v_zero | v_one)
-        interior = ~(v_zero | v_one | u_edge)
-        out[v_zero] = 0.0
-        out[v_one] = 1.0
-        if np.any(u_edge):
-            out[u_edge] = _fd_partial(self.cdf, u[u_edge], v[u_edge], axis=0)
-        if np.any(interior):
-            ui, vi = u[interior], v[interior]
-            ti = np.asarray(g.phi_inverse(ui))
-            s = ti + np.asarray(g.phi_inverse(vi))
-            out[interior] = np.asarray(g.phi_prime(s)) / np.asarray(g.phi_prime(ti))
+        tu, inner_u = _on_open_unit(g.phi_inverse, u, u)
+        tv, inner_v = _on_open_unit(g.phi_inverse, v, v)
+        slope_u, _ = _on_open_unit(g.phi_prime, u, tu)
+        s = tu + tv
+        if inner_u.all() and inner_v.all():
+            out = np.asarray(g.phi_prime(s), dtype=float) / slope_u
+        else:
+            interior = inner_u & inner_v
+            slope_u = np.broadcast_to(slope_u, interior.shape)
+            u, v = np.broadcast_arrays(u, v)
+            out = np.empty(u.shape)
+            v_zero = v == 0.0
+            v_one = (v == 1.0) & ~v_zero
+            u_edge = ((u == 0.0) | (u == 1.0)) & ~(v_zero | v_one)
+            out[v_zero] = 0.0
+            out[v_one] = 1.0
+            if np.any(u_edge):
+                out[u_edge] = _fd_partial(self.cdf, u[u_edge], v[u_edge], axis=0)
+            if np.any(interior):
+                out[interior] = np.asarray(g.phi_prime(s[interior])) / slope_u[interior]
         return out if out.shape else float(out)
 
     def _pd2(self, u, v, side):
@@ -307,6 +323,18 @@ class ArchimedeanCopula(Copula):
             "family": self.generator.name,
             "theta": self.generator.theta,
         }
+
+
+def _on_open_unit(f, x, arg):
+    """f(arg) where 0 < x < 1, and 0 elsewhere (edge values the caller
+    replaces), in the shape of x; also the mask of 0 < x < 1."""
+    inner = (x > 0.0) & (x < 1.0)
+    if inner.all():
+        # f sees a contiguous array either way, as the masked gather gives it
+        return np.asarray(f(arg if arg.flags.c_contiguous else arg.copy()), dtype=float), inner
+    out = np.zeros(x.shape)
+    out[inner] = f(arg[inner])
+    return out, inner
 
 
 def archimedean_copula(gen: ArchimedeanGenerator) -> ArchimedeanCopula:

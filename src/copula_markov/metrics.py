@@ -182,24 +182,47 @@ def _d1_slices(c1, c2):
     u_edges.update(float(x) for x in c2.knots_u())
     u_edges = np.array(sorted(u_edges))
     cells = np.linspace(0.0, 1.0, _D1_T_CELLS + 1)
-
-    def slice_value(u):
-        edges = np.union1d(cells, _slice_knots(c1, c2, u))
-        t = 0.5 * (edges[:-1] + edges[1:])
-        gap = np.asarray(c1.partial_derivative(1, u, t)) - np.asarray(
-            c2.partial_derivative(1, u, t)
-        )
-        return float(np.abs(gap) @ np.diff(edges))
-
     total = 0.0
     for a, b in zip(u_edges[:-1], u_edges[1:]):
         panels = np.linspace(a, b, _D1_U_PANELS + 1)
         for p0, p1 in zip(panels[:-1], panels[1:]):
             mid = 0.5 * (p0 + p1)
             half = 0.5 * (p1 - p0)
-            vals = [slice_value(mid + half * x) for x in _GL_NODES]
+            vals = _panel_slices(c1, c2, mid + half * _GL_NODES, cells)
             total += half * float(np.dot(_GL_WEIGHTS, vals))
     return total
+
+
+def _panel_slices(c1, c2, us, cells):
+    """The t-integrals of |d1 C1(u, t) - d1 C2(u, t)| at the u-nodes of one
+    panel, from one derivative call per operand.
+
+    Each slice integrates by the midpoint rule over the cells joined with
+    its own knots.  Slices without knots share the cells, so the call takes
+    a column of u against one row of t; otherwise the slices' t-midpoints
+    are concatenated, each beside its own u.
+    """
+    edges = []
+    for u in us:
+        knots = _slice_knots(c1, c2, u)
+        # knots 0 and 1 alone add nothing to the cells
+        edges.append(cells if knots.size == 2 else np.union1d(cells, knots))
+    if all(e is cells for e in edges):
+        u, t = us[:, None], 0.5 * (cells[:-1] + cells[1:])
+    else:
+        u = np.repeat(us, [e.size - 1 for e in edges])
+        t = np.concatenate([0.5 * (e[:-1] + e[1:]) for e in edges])
+    gap = np.abs(
+        np.asarray(c1.partial_derivative(1, u, t))
+        - np.asarray(c2.partial_derivative(1, u, t))
+    ).ravel()
+    rows = np.split(gap, np.cumsum([e.size - 1 for e in edges[:-1]]))
+    cell_widths = np.diff(cells)
+    # one dot per slice, as a slice-by-slice evaluation sums it
+    return [
+        float(row @ (cell_widths if e is cells else np.diff(e)))
+        for row, e in zip(rows, edges)
+    ]
 
 
 def d1_midpoint(c1: Copula, c2: Copula, panels=512) -> float:

@@ -155,6 +155,11 @@ def test_quadrature_exact_on_aligned_panels(checker3):
     for u in corners:
         for v in corners:
             assert float(oracle(u, v)) == pytest.approx(square.cdf(u, v), abs=1e-12)
+    # a column against a row is one matrix product of the derivative tables
+    for row in (corners, corners[None, :]):
+        lattice = oracle(corners[:, None], row)
+        assert lattice.shape == (4, 4)
+        assert np.max(np.abs(lattice - square.corner_cdf())) <= 1e-12
 
 
 def test_quadrature_rejects_small_panel_count(pi, upper):
@@ -600,6 +605,9 @@ def test_extract_structure_grid_exact_endpoints(pi):
     result = extract_pi_ordinal_structure(cop.discretize(36))
     assert result.intervals.to_list() == [[0.0, 1 / 3], [5 / 6, 1.0]]
     assert result.max_block_gap <= 1e-9
+    # one cell leaves no interior corner to scan
+    single = extract_pi_ordinal_structure(GridCopula(np.ones((1, 1))))
+    assert single.intervals.to_list() == [[0.0, 1.0]]
 
 
 def test_extract_structure_analytic_refined_endpoints(pi):
@@ -609,6 +617,71 @@ def test_extract_structure_analytic_refined_endpoints(pi):
     assert a1 == 0.0 and b2 == 1.0
     assert abs(b1 - 1 / 3) <= 1e-9
     assert abs(a2 - 5 / 6) <= 1e-9
+
+
+def scalar_bisection_intervals(c, tol=1e-6, scan=1024, eps=1e-12, iters=80):
+    """The closed-form interval scan with each inner end bisected on its
+    own, one scalar cdf call per step: the reference for the vectorised
+    bisection."""
+
+    def gap(v):
+        return float(v - c.cdf(v, v))
+
+    def refine(lo, hi):
+        g_lo = gap(lo)
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            if (gap(mid) > eps) == (g_lo > eps):
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    points = np.arange(1, scan) / scan
+    fixed = points - np.asarray(c.cdf(points, points)) <= tol
+    intervals = []
+    i, m = 0, points.size
+    while i < m:
+        if fixed[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < m and not fixed[j + 1]:
+            j += 1
+        left = 0.0 if i == 0 else refine(points[i - 1], points[i])
+        right = 1.0 if j == m - 1 else refine(points[j + 1], points[j])
+        intervals.append([left, right])
+        i = j + 1
+    return intervals
+
+
+@pytest.mark.parametrize(
+    "intervals",
+    [
+        [(0.1, 0.35), (0.5, 0.83)],
+        [(0.0, 0.2), (0.3, 0.4117), (0.6, 1.0)],
+        [(0.123456, 0.654321)],
+        [(0.0, 1.0)],
+        [],
+    ],
+)
+def test_extract_structure_bisects_every_edge_at_once(pi, monkeypatch, intervals):
+    cop = ordinal_sum(intervals, [pi] * len(intervals))
+    expected = scalar_bisection_intervals(cop)
+    calls = []
+    cdf = OrdinalSumCopula.cdf
+
+    def counted(self, u, v):
+        calls.append(1)
+        return cdf(self, u, v)
+
+    monkeypatch.setattr(OrdinalSumCopula, "cdf", counted)
+    result = extract_pi_ordinal_structure(cop)
+    assert result.intervals.to_list() == expected
+    # one scan, 80 bisection steps shared by every inner end, one block
+    # audit per interval
+    inner_ends = sum((a > 0.0) + (b < 1.0) for a, b in intervals)
+    assert len(calls) == 1 + (80 if inner_ends else 0) + len(intervals)
 
 
 def test_extract_structure_requires_idempotent_input(checker3):

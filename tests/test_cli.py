@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import copula_markov
 from copula_markov.cli import main
 
-from conftest import CHECKER3
+from conftest import CHECKER3, random_doubly_stochastic
 
 
 @pytest.fixture
@@ -113,8 +114,25 @@ def test_product_with_oracle(specs, capsys, tmp_path):
     assert code == 0
     summary = json.loads(out)
     assert summary["oracle_max_discrepancy"] <= 1e-9
-    matrix = np.asarray(json.loads(open(out_path).read())["matrix"])
+    matrix = np.asarray(json.loads(Path(out_path).read_text())["matrix"])
     assert np.max(np.abs(matrix - CHECKER3 @ CHECKER3)) <= 1e-15
+
+
+def test_product_oracle_checks_a_64_grid_pair_on_every_corner(capsys, tmp_path):
+    rng = np.random.default_rng(64)
+    paths = []
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        matrix = random_doubly_stochastic(rng, 64, n_perms=8)
+        path.write_text(json.dumps({"type": "checkerboard", "matrix": matrix.tolist()}))
+        paths.append(str(path))
+    out_path = str(tmp_path / "ab.json")
+    code, out, _ = run(capsys, "product", *paths, "-o", out_path, "--oracle")
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["resolution"] == 64
+    assert summary["oracle_panels"] == 64
+    assert summary["oracle_max_discrepancy"] <= 1e-12
 
 
 def test_product_unit_returns_operand(specs, capsys, tmp_path):
@@ -123,7 +141,7 @@ def test_product_unit_returns_operand(specs, capsys, tmp_path):
         capsys, "product", specs["cplus.json"], specs["checker3.json"], "-o", out_path
     )
     assert code == 0
-    matrix = np.asarray(json.loads(open(out_path).read())["matrix"])
+    matrix = np.asarray(json.loads(Path(out_path).read_text())["matrix"])
     assert np.array_equal(matrix, CHECKER3)
 
 
@@ -133,7 +151,7 @@ def test_product_annihilator(specs, capsys, tmp_path):
         capsys, "product", specs["pi.json"], specs["checker3.json"], "-o", out_path
     )
     assert code == 0
-    assert json.loads(open(out_path).read()) == {"type": "product"}
+    assert json.loads(Path(out_path).read_text()) == {"type": "product"}
 
 
 def test_product_resolution_cap_env(specs, capsys, tmp_path, monkeypatch):
@@ -173,8 +191,8 @@ def test_iterate_checkerboard(specs, capsys, tmp_path):
     assert report["converged"] is True
     assert report["n_steps"] <= 60
     assert report["intervals"] == [[0.0, 1.0]]
-    assert open(f"{out_dir}/report.json").read() == out
-    lines = open(f"{out_dir}/steps.csv").read().strip().splitlines()
+    assert Path(f"{out_dir}/report.json").read_text() == out
+    lines = Path(f"{out_dir}/steps.csv").read_text().strip().splitlines()
     assert lines[0] == "step,d_inf_gap,d1_gap"
     assert len(lines) == report["n_steps"] + 1
     gaps = [float(line.split(",")[1]) for line in lines[1:]]
@@ -364,4 +382,4 @@ def test_identical_invocations_are_byte_identical(specs, capsys, tmp_path):
     trace = ["derivative-trace", specs["checker3.json"], "--at", "0.25", "-o"]
     run(capsys, *trace, t1)
     run(capsys, *trace, t2)
-    assert open(t1, "rb").read() == open(t2, "rb").read()
+    assert Path(t1).read_bytes() == Path(t2).read_bytes()

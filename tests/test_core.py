@@ -167,6 +167,34 @@ def test_partial_derivative_piecewise_constant_in_u(checker3):
     assert inside[0] == inside[1] == inside[2]
 
 
+def ramp_derivative(matrix, x, y, side):
+    """Derivative of a grid cdf in x as the full weighted line sum: line
+    cell(x) of ``matrix`` against the weights clamp(n y - l, 0, 1)."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    n = matrix.shape[0]
+    k = cell_index(n, x, side=side)
+    weights = np.clip(n * y[..., None] - np.arange(n, dtype=float), 0.0, 1.0)
+    return np.einsum("...l,...l->...", matrix[k, :], weights)
+
+
+@pytest.mark.parametrize("n", [1, 3, 17, 64])
+def test_grid_derivatives_match_the_weighted_line_sum(rng, n):
+    g = GridCopula(random_doubly_stochastic(rng, n))
+    points = np.concatenate([rng.random(200), np.arange(n + 1) / n])
+    u, v = np.meshgrid(points, points[::3])
+    for side in ("right", "left"):
+        d1 = g.partial_derivative(1, u, v, side=side)
+        d2 = g.partial_derivative(2, u, v, side=side)
+        # running sums and the weighted sum add in different orders; the
+        # values lie in [0, 1], so they agree to a few ulps of 1
+        assert np.max(np.abs(d1 - ramp_derivative(g.matrix, u, v, side))) <= 1e-15
+        assert np.max(np.abs(d2 - ramp_derivative(g.matrix.T, v, u, side))) <= 1e-15
+        # a row against a column reads the same values as the full mesh
+        lattice = g.partial_derivative(1, points, points[::3, None], side=side)
+        assert np.array_equal(lattice, d1)
+        assert isinstance(g.partial_derivative(2, 0.3, 1.0, side=side), float)
+
+
 def test_partial_derivative_rejects_bad_component(pi):
     with pytest.raises(DomainError):
         pi.partial_derivative(3, 0.5, 0.5)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from copula_markov import (
     ordinal_sum,
     tabulated_generator,
 )
+from copula_markov.core import _fd_partial
 # ---------------------------------------------------------------------------
 # Archimedean copulas
 # ---------------------------------------------------------------------------
@@ -95,6 +98,91 @@ def test_generator_invariants_rejected():
             "bad", lambda t: 0.9 * np.exp(-np.asarray(t, float)),
             lambda x: -np.log(np.asarray(x, float) / 0.9),
         )
+
+
+def broadcast_archimedean_cdf(gen, u, v):
+    """Archimedean cdf with the generator inverse applied point by point on
+    the broadcast arguments: the reference for the per-axis evaluation."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    out = np.empty(u.shape)
+    zero = (u == 0.0) | (v == 0.0)
+    u_one = (v == 1.0) & ~zero
+    v_one = (u == 1.0) & ~zero & ~u_one
+    interior = ~(zero | u_one | v_one)
+    out[zero] = 0.0
+    out[u_one] = u[u_one]
+    out[v_one] = v[v_one]
+    if np.any(interior):
+        s = np.asarray(gen.phi_inverse(u[interior])) + np.asarray(gen.phi_inverse(v[interior]))
+        out[interior] = gen.phi(s)
+    return out
+
+
+def broadcast_archimedean_pd1(cop, u, v):
+    """d1 of an Archimedean copula, point by point on the broadcast
+    arguments (the reference for the per-axis evaluation)."""
+    gen = cop.generator
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    out = np.empty(u.shape)
+    v_zero = v == 0.0
+    v_one = (v == 1.0) & ~v_zero
+    u_edge = ((u == 0.0) | (u == 1.0)) & ~(v_zero | v_one)
+    interior = ~(v_zero | v_one | u_edge)
+    out[v_zero] = 0.0
+    out[v_one] = 1.0
+    if np.any(u_edge):
+        out[u_edge] = _fd_partial(cop.cdf, u[u_edge], v[u_edge], axis=0)
+    if np.any(interior):
+        ti = np.asarray(gen.phi_inverse(u[interior]))
+        s = ti + np.asarray(gen.phi_inverse(v[interior]))
+        out[interior] = np.asarray(gen.phi_prime(s)) / np.asarray(gen.phi_prime(ti))
+    return out
+
+
+TABLE_T = np.concatenate([[0.0], np.geomspace(1e-4, 60.0, 400)])
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        independence_generator(),
+        clayton_generator(0.5),
+        clayton_generator(2.0),
+        gumbel_generator(1.0),
+        gumbel_generator(2.5),
+        frank_generator(-3.0),
+        frank_generator(5.0),
+        tabulated_generator(TABLE_T, clayton_generator(1.5).phi(TABLE_T)),
+    ],
+    ids=lambda gen: f"{gen.name}-{gen.theta}",
+)
+def test_archimedean_per_axis_evaluation_matches_the_broadcast_path(gen, rng):
+    cop = archimedean_copula(gen)
+    axis = np.linspace(0.0, 1.0, 65)  # holds both edges
+    flat_u, flat_v = rng.random(200), rng.random(200)
+    flat_u[:10], flat_u[10:20] = 0.0, 1.0
+    flat_v[15:25], flat_v[25:35] = 0.0, 1.0
+    cases = [
+        (axis[:, None], axis[None, :]),
+        (axis[:, None], axis),
+        (axis[1:-1, None], axis[1:-1]),  # all interior
+        (flat_u, flat_v),
+        (0.3, axis),
+        (axis, 1.0),
+    ] + [(a, b) for a in (0.0, 0.4, 1.0) for b in (0.0, 0.7, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for u, v in cases:
+            assert np.array_equal(cop.cdf(u, v), broadcast_archimedean_cdf(gen, u, v))
+            assert np.array_equal(
+                cop.partial_derivative(1, u, v), broadcast_archimedean_pd1(cop, u, v)
+            )
+            assert np.array_equal(
+                cop.partial_derivative(2, u, v), broadcast_archimedean_pd1(cop, v, u)
+            )
+            if np.ndim(u) == 0 and np.ndim(v) == 0:
+                assert isinstance(cop.cdf(u, v), float)
+                assert isinstance(cop.partial_derivative(1, u, v), float)
 
 
 # ---------------------------------------------------------------------------

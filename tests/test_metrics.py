@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from copula_markov import (
+    Copula,
     DomainError,
     GridCopula,
     IndependenceCopula,
+    LowerFrechetCopula,
     ResolutionCapError,
     archimedean_copula,
     check_quadrant_dependence,
@@ -23,11 +25,18 @@ from copula_markov import (
     ordinal_sum,
     power,
     sobolev_diagonal,
+    transpose,
 )
 from copula_markov.metrics import (
     _CORNER_SLAB,
+    _D1_T_CELLS,
+    _D1_U_PANELS,
+    _GL_NODES,
+    _GL_WEIGHTS,
     _corner_extremes,
     _d1_grids,
+    _d1_slices,
+    _slice_knots,
     d1_midpoint,
     d_inf_witness,
     sup_gap,
@@ -270,6 +279,67 @@ def test_d1_closed_forms_agree_with_exact_and_midpoint_values(pi, upper):
     assert d1_metric(frank, pi) == pytest.approx(
         d1_midpoint(frank, pi, panels=1024), abs=1e-5
     )
+
+
+def per_slice_d1(c1, c2):
+    """The closed-form D1 rule with one derivative call per operand per
+    slice: the reference for the panel-batched evaluation."""
+    u_edges = {0.0, 1.0}
+    u_edges.update(float(x) for x in c1.knots_u())
+    u_edges.update(float(x) for x in c2.knots_u())
+    u_edges = np.array(sorted(u_edges))
+    cells = np.linspace(0.0, 1.0, _D1_T_CELLS + 1)
+
+    def slice_value(u):
+        edges = np.union1d(cells, _slice_knots(c1, c2, u))
+        t = 0.5 * (edges[:-1] + edges[1:])
+        gap = np.asarray(c1.partial_derivative(1, u, t)) - np.asarray(
+            c2.partial_derivative(1, u, t)
+        )
+        return float(np.abs(gap) @ np.diff(edges))
+
+    total = 0.0
+    for a, b in zip(u_edges[:-1], u_edges[1:]):
+        panels = np.linspace(a, b, _D1_U_PANELS + 1)
+        for p0, p1 in zip(panels[:-1], panels[1:]):
+            mid = 0.5 * (p0 + p1)
+            half = 0.5 * (p1 - p0)
+            vals = [slice_value(mid + half * x) for x in _GL_NODES]
+            total += half * float(np.dot(_GL_WEIGHTS, vals))
+    return total
+
+
+def test_d1_panel_batches_equal_the_per_slice_rule(pi, upper):
+    clayton = archimedean_copula(clayton_generator(2.0))
+    frank = archimedean_copula(frank_generator(-3.0))
+    pairs = [
+        (pi, upper),
+        (clayton, extreme_value_copula(gumbel_pickands(2.5))),
+        (frank, pi),
+        (ordinal_sum([(0.0, 0.62)], [pi]), upper),
+        (LowerFrechetCopula(), pi),
+        (transpose(archimedean_copula(clayton_generator(3.0))), frank),
+        (ordinal_sum([(0.1, 0.4), (0.5, 0.9)], [clayton, LowerFrechetCopula()]), frank),
+        (ordinal_sum([(0.2, 0.7)], [GridCopula(CHECKER3)]), pi),
+    ]
+    for c1, c2 in pairs:
+        assert _d1_slices(c1, c2) == per_slice_d1(c1, c2)
+
+
+def test_d1_closed_form_makes_one_derivative_call_per_operand_per_panel(monkeypatch):
+    calls = []
+    derivative = Copula.partial_derivative
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return derivative(self, *args, **kwargs)
+
+    monkeypatch.setattr(Copula, "partial_derivative", counted)
+    clayton = archimedean_copula(clayton_generator(2.0))
+    gumbel = extreme_value_copula(gumbel_pickands(2.5))
+    d1_metric(clayton, gumbel)
+    # neither operand has a u-knot: one interval of 24 panels, two operands
+    assert len(calls) == 2 * _D1_U_PANELS == 48
 
 
 def test_d1_symmetry_and_triangle(rng):
