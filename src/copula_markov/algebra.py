@@ -109,7 +109,9 @@ def _common_grid(*copulas, resolution=DEFAULT_RESOLUTION, cap=None):
             f"common resolution {n} exceeds the cap {limit} "
             f"(override with {RESOLUTION_CAP_ENV} or the cap argument)"
         )
-    return tuple(c.discretize(n) for c in copulas)
+    grids = {id(c): c for c in copulas}  # an operand passed twice discretizes once
+    grids = {key: c.discretize(n) for key, c in grids.items()}
+    return tuple(grids[id(c)] for c in copulas)
 
 
 def markov_product(c1: Copula, c2: Copula, resolution=DEFAULT_RESOLUTION, cap=None):
@@ -139,6 +141,18 @@ def _exact_product(c1: Copula, c2: Copula):
     if isinstance(c1, IndependenceCopula) or isinstance(c2, IndependenceCopula):
         return IndependenceCopula()
     return None
+
+
+def _product_and_operand(d: Copula, c: Copula, resolution=DEFAULT_RESOLUTION):
+    """D * C, and C to compare it with: C itself against an exact product,
+    C discretized at the resolution of a grid product."""
+    product = _exact_product(d, c)
+    if product is None:
+        d, c = _common_grid(d, c, resolution=resolution)
+        product = GridCopula._trusted(d.matrix @ c.matrix)
+    elif isinstance(product, GridCopula):
+        c = c.discretize(product.n)
+    return product, c
 
 
 def quadrature_markov_product(c1: Copula, c2: Copula, panels: int):
@@ -250,11 +264,7 @@ def is_idempotent(c: Copula, tol=1e-9, resolution=DEFAULT_RESOLUTION) -> Idempot
     if isinstance(c, TransposedCopula):
         sub = is_idempotent(c.base, tol=tol, resolution=resolution)
         return IdempotenceVerdict(sub.idempotent, sub.gap, sub.witness[::-1])
-    square = _exact_product(c, c)
-    if square is None:
-        # the grid path of markov_product, keeping the discretized C
-        (c,) = _common_grid(c, resolution=resolution)
-        square = GridCopula._trusted(c.matrix @ c.matrix)
+    square, c = _product_and_operand(c, c, resolution=resolution)
     gap, witness = metrics.sup_gap(square, c)
     return IdempotenceVerdict(bool(gap <= tol), float(gap), witness)
 

@@ -5,6 +5,10 @@ Frank, each with analytic inverse and first derivative.  User-defined
 generators enter through tabulated (t, phi(t)) values with monotone
 interpolation.  Extreme-value copulas are parameterized by a Pickands
 dependence function A with max(t, 1-t) <= A <= 1 and A convex.
+
+Both parametric families transform each argument value once (phi_inverse,
+or log) before the two broadcast, share one margin rule for the cdf on the
+edges, and keep their own edge rules for the partial derivatives.
 """
 
 from __future__ import annotations
@@ -278,15 +282,7 @@ class ArchimedeanCopula(Copula):
         # on an edge the placeholder 0 leaves phi of the other argument's
         # transform, or phi(0) = 1 (checked when the generator is built)
         out = np.asarray(g.phi(tu + tv), dtype=float)
-        if not (inner_u.all() and inner_v.all()):
-            u, v = np.broadcast_arrays(u, v)
-            zero = (u == 0.0) | (v == 0.0)
-            u_one = (v == 1.0) & ~zero
-            v_one = (u == 1.0) & ~zero & ~u_one
-            out[zero] = 0.0
-            out[u_one] = u[u_one]
-            out[v_one] = v[v_one]
-        return out if out.shape else float(out)
+        return _with_margins(out, u, v, inner_u.all() and inner_v.all())
 
     def _pd1(self, u, v, side):
         g = self.generator
@@ -303,11 +299,9 @@ class ArchimedeanCopula(Copula):
             slope_u = np.broadcast_to(slope_u, interior.shape)
             u, v = np.broadcast_arrays(u, v)
             out = np.empty(u.shape)
-            v_zero = v == 0.0
-            v_one = (v == 1.0) & ~v_zero
-            u_edge = ((u == 0.0) | (u == 1.0)) & ~(v_zero | v_one)
-            out[v_zero] = 0.0
-            out[v_one] = 1.0
+            out[v == 0.0] = 0.0
+            out[v == 1.0] = 1.0
+            u_edge = ~inner_u & inner_v
             if np.any(u_edge):
                 out[u_edge] = _fd_partial(self.cdf, u[u_edge], v[u_edge], axis=0)
             if np.any(interior):
@@ -335,6 +329,18 @@ def _on_open_unit(f, x, arg):
     out = np.zeros(x.shape)
     out[inner] = f(arg[inner])
     return out, inner
+
+
+def _with_margins(out, u, v, inner):
+    """``out`` with the margin limits 0 where u or v is 0, u where v = 1 and
+    v where u = 1, unless ``inner`` (all of u and v in (0, 1)); scalar: float."""
+    if not inner:
+        u, v = np.broadcast_arrays(u, v)
+        u_one, v_one = u == 1.0, v == 1.0
+        out[v_one] = u[v_one]
+        out[u_one] = v[u_one]  # C(1, 1) = 1 either way
+        out[(u == 0.0) | (v == 0.0)] = 0.0
+    return out if out.shape else float(out)
 
 
 def archimedean_copula(gen: ArchimedeanGenerator) -> ArchimedeanCopula:
@@ -425,8 +431,10 @@ def gumbel_pickands(theta):
 class ExtremeValueCopula(Copula):
     """C(u, v) = exp(log(uv) A(log u / log uv)).
 
-    The displayed formula is 0/0 on the edges u = 1 and v = 1; evaluation
-    uses the margin limits there directly.  Stochastic increasingness in
+    ``log`` runs once per argument value, before the broadcast.  The cdf
+    takes the margin limits on the edges.  The derivative in x, the other
+    argument being y, is 0 at y = 0, 1 at y = 1, a finite difference of the
+    cdf at x = 0 and the formula at x = 1.  Stochastic increasingness in
     both components is asserted by the family (and exercised by the test
     suite at grid resolution 64), not re-derived pointwise.
     """
@@ -436,62 +444,42 @@ class ExtremeValueCopula(Copula):
     def cdf(self, u, v):
         u = _check_unit(u, "u")
         v = _check_unit(v, "v")
-        u, v = np.broadcast_arrays(u, v)
-        out = np.empty(u.shape)
-        zero = (u == 0.0) | (v == 0.0)
-        u_margin = (v == 1.0) & ~zero
-        v_margin = (u == 1.0) & ~zero & ~u_margin
-        interior = ~(zero | u_margin | v_margin)
-        out[zero] = 0.0
-        out[u_margin] = u[u_margin]
-        out[v_margin] = v[v_margin]
-        if np.any(interior):
-            s = np.log(u[interior])
-            r = np.log(v[interior])
-            total = s + r
-            out[interior] = np.exp(total * self.pickands(s / total))
-        return out if out.shape else float(out)
+        total, _, a, inner = self._exponent(u, v)
+        return _with_margins(np.asarray(np.exp(total * a), dtype=float), u, v, inner)
 
     def _pd1(self, u, v, side):
-        u, v = np.broadcast_arrays(u, v)
-        out = np.empty(u.shape)
-        v_zero = v == 0.0
-        v_one = (v == 1.0) & ~v_zero
-        u_zero = (u == 0.0) & ~(v_zero | v_one)
-        interior = ~(v_zero | v_one | u_zero)
-        out[v_zero] = 0.0
-        out[v_one] = 1.0
-        if np.any(u_zero):
-            out[u_zero] = _fd_partial(self.cdf, u[u_zero], v[u_zero], axis=0)
-        if np.any(interior):
-            ui, vi = u[interior], v[interior]
-            s = np.log(ui)
-            r = np.log(np.minimum(vi, 1.0 - 1e-16))
-            total = s + r
-            t = np.where(total < 0, s / total, 0.0)
-            a = self.pickands(t)
-            out[interior] = np.exp(total * a) * (a + (1.0 - t) * self.pickands.derivative(t)) / ui
-        return out if out.shape else float(out)
+        return self._partial(u, v, axis=0)
 
     def _pd2(self, u, v, side):
-        u, v = np.broadcast_arrays(u, v)
-        out = np.empty(u.shape)
-        u_zero = u == 0.0
-        u_one = (u == 1.0) & ~u_zero
-        v_zero = (v == 0.0) & ~(u_zero | u_one)
-        interior = ~(u_zero | u_one | v_zero)
-        out[u_zero] = 0.0
-        out[u_one] = 1.0
-        if np.any(v_zero):
-            out[v_zero] = _fd_partial(self.cdf, u[v_zero], v[v_zero], axis=1)
-        if np.any(interior):
-            ui, vi = u[interior], v[interior]
-            s = np.log(np.minimum(ui, 1.0 - 1e-16))
-            r = np.log(vi)
-            total = s + r
-            t = np.where(total < 0, s / total, 0.0)
-            a = self.pickands(t)
-            out[interior] = np.exp(total * a) * (a - t * self.pickands.derivative(t)) / vi
+        return self._partial(u, v, axis=1)
+
+    def _exponent(self, u, v):
+        """log uv, t = log u / log uv, A(t), and whether all of u and v lie in
+        (0, 1).  0 stands in for log 0 (log 1 = 0 is exact), and for t where
+        log uv = 0."""
+        lu, inner_u = _on_open_unit(np.log, u, u)
+        lv, inner_v = _on_open_unit(np.log, v, v)
+        total = lu + lv
+        t = np.divide(lu, total, out=np.zeros(total.shape), where=total != 0.0)
+        return total, t, self.pickands(t), inner_u.all() and inner_v.all()
+
+    def _partial(self, u, v, axis):
+        """d/du (axis 0) or d/dv (axis 1): exp(log(uv) A(t)) (A(t) + w A'(t)) / x
+        with x = u, w = 1 - t or x = v, w = -t."""
+        total, t, a, inner = self._exponent(u, v)
+        x, w = (u, 1.0 - t) if axis == 0 else (v, -t)
+        # 1 stands in for x = 0, where the finite difference replaces the value
+        scale = x if inner else np.where(x > 0.0, x, 1.0)
+        out = np.exp(total * a) * (a + w * self.pickands.derivative(t)) / scale
+        out = np.asarray(out, dtype=float)
+        if not inner:
+            u, v = np.broadcast_arrays(u, v)
+            x, y = (u, v) if axis == 0 else (v, u)
+            out[y == 0.0] = 0.0
+            out[y == 1.0] = 1.0
+            x_zero = (x == 0.0) & (y > 0.0) & (y < 1.0)
+            if np.any(x_zero):
+                out[x_zero] = _fd_partial(self.cdf, u[x_zero], v[x_zero], axis=axis)
         return out if out.shape else float(out)
 
     def to_spec(self):
@@ -553,23 +541,19 @@ class OrdinalSumCopula(Copula):
         )
 
     def _pd1(self, u, v, side):
-        return self._blockwise(
-            u,
-            v,
-            lambda uu, vv: UpperFrechetCopula()._pd1(uu, vv, side),
-            lambda comp, a, w, s, t: np.asarray(
-                comp.partial_derivative(1, s, t, side=side)
-            ),
-        )
+        return self._partial(1, u, v, side)
 
     def _pd2(self, u, v, side):
+        return self._partial(2, u, v, side)
+
+    def _partial(self, component, u, v, side):
+        upper = UpperFrechetCopula()
+        base = upper._pd1 if component == 1 else upper._pd2
         return self._blockwise(
             u,
             v,
-            lambda uu, vv: UpperFrechetCopula()._pd2(uu, vv, side),
-            lambda comp, a, w, s, t: np.asarray(
-                comp.partial_derivative(2, s, t, side=side)
-            ),
+            lambda uu, vv: base(uu, vv, side),
+            lambda comp, a, w, s, t: np.asarray(comp.partial_derivative(component, s, t, side)),
         )
 
     def knots_u(self):

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
-from .algebra import _common_grid, _exact_product, markov_product, transpose
+from .algebra import _product_and_operand, markov_product, transpose
 from .core import (
     Copula,
     DomainError,
@@ -155,13 +155,7 @@ def check_dominance(d: Copula, c: Copula, tol=1e-9, reverse=False) -> DominanceV
     ``reverse=True`` selects the opposite inequality C <= D * C + tol,
     the relevant direction for stochastically decreasing C.
     """
-    product = _exact_product(d, c)
-    if product is None:
-        # the grid path of markov_product, keeping the discretized C
-        d, c = _common_grid(d, c)
-        product = GridCopula._trusted(d.matrix @ c.matrix)
-    elif isinstance(product, GridCopula):
-        c = c.discretize(product.n)
+    product, c = _product_and_operand(d, c)
     lhs, rhs = (c, product) if reverse else (product, c)
     gap, witness = metrics.sup_gap(lhs, rhs, signed=True)
     return DominanceVerdict(bool(gap <= tol), float(gap), witness, bool(reverse))

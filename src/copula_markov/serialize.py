@@ -52,17 +52,30 @@ class SpecError(CopulaError, ValueError):
 
 
 _ARCHIMEDEAN = {
-    "independence": lambda theta: families.independence_generator(),
+    "independence": families.independence_generator,
     "clayton": families.clayton_generator,
     "gumbel": families.gumbel_generator,
     "frank": families.frank_generator,
 }
 
 _PICKANDS = {
-    "independence": lambda theta: families.independence_pickands(),
-    "comonotone": lambda theta: families.comonotone_pickands(),
+    "independence": families.independence_pickands,
+    "comonotone": families.comonotone_pickands,
     "gumbel": families.gumbel_pickands,
 }
+
+
+def _family(spec, table):
+    """The member of ``table`` named by the spec's family and theta."""
+    family = spec.get("family")
+    if not isinstance(family, str) or family not in table:
+        raise SpecError(f"unknown {spec['type']} family {family!r}")
+    if family in ("independence", "comonotone"):  # no parameter, "theta": null
+        return table[family]()
+    theta = spec.get("theta")
+    if not isinstance(theta, (int, float, str)):
+        raise SpecError(f"{spec['type']} family {family!r} needs a numeric 'theta'")
+    return table[family](theta)
 
 
 def copula_from_spec(spec) -> Copula:
@@ -81,20 +94,18 @@ def copula_from_spec(spec) -> Copula:
     if kind == "frechet-lower":
         return LowerFrechetCopula()
     if kind == "archimedean":
-        family = spec.get("family")
-        if family not in _ARCHIMEDEAN:
-            raise SpecError(f"unknown archimedean family {family!r}")
-        gen = _ARCHIMEDEAN[family](spec.get("theta"))
-        return families.archimedean_copula(gen)
+        return families.archimedean_copula(_family(spec, _ARCHIMEDEAN))
     if kind == "extreme-value":
-        family = spec.get("family")
-        if family not in _PICKANDS:
-            raise SpecError(f"unknown extreme-value family {family!r}")
-        pick = _PICKANDS[family](spec.get("theta"))
-        return families.extreme_value_copula(pick)
+        return families.extreme_value_copula(_family(spec, _PICKANDS))
     if kind == "ordinal-sum":
-        intervals = IntervalFamily.from_list(spec.get("intervals", []))
-        components = tuple(copula_from_spec(s) for s in spec.get("components", []))
+        try:
+            intervals = IntervalFamily.from_list(spec.get("intervals", []))
+        except TypeError as exc:
+            raise SpecError("ordinal-sum 'intervals' must be a list of [a, b] pairs") from exc
+        specs = spec.get("components", [])
+        if not isinstance(specs, list):
+            raise SpecError("ordinal-sum 'components' must be a list of specs")
+        components = tuple(copula_from_spec(s) for s in specs)
         return families.OrdinalSumCopula(intervals, components)
     if kind == "transpose":
         if "of" not in spec:

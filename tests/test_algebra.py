@@ -350,6 +350,31 @@ def test_idempotent_closed_form_discretizes_once(monkeypatch):
     assert (verdict.idempotent, verdict.gap, verdict.witness) == (bool(gap <= 1e-9), gap, witness)
 
 
+def test_self_products_discretize_a_closed_form_once(monkeypatch):
+    # markov_product, check_dominance and sobolev_diagonal of C with itself
+    clayton = archimedean_copula(clayton_generator(2.0))
+    # the grid path with the closed form discretized per operand
+    left, right = clayton.discretize(128), clayton.discretize(128)
+    expected = left.matrix @ right.matrix
+    gap, witness = metrics.sup_gap(GridCopula(expected), left, signed=True)
+    sobolev = 2.0 * metrics._grid_diagonal_integral(GridCopula(expected))
+    calls = []
+    discretize = type(clayton).discretize
+
+    def counted(self, n):
+        calls.append(n)
+        return discretize(self, n)
+
+    monkeypatch.setattr(type(clayton), "discretize", counted)
+    assert markov_product(clayton, clayton).matrix.tobytes() == expected.tobytes()
+    assert calls == [128]
+    verdict = check_dominance(clayton, clayton)
+    assert calls == [128, 128]
+    assert (verdict.gap, verdict.witness) == (gap, witness)
+    assert metrics.sobolev_diagonal(clayton) == sobolev
+    assert calls == [128, 128, 128]
+
+
 def test_is_idempotent_requires_positive_tol(pi):
     with pytest.raises(DomainError):
         is_idempotent(pi, tol=0.0)

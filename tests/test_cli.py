@@ -95,6 +95,24 @@ def test_check_malformed_spec_is_input_error(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"type": "archimedean", "family": "clayton"}, "theta"),
+        ({"type": "extreme-value", "family": "gumbel"}, "theta"),
+        ({"type": "ordinal-sum", "intervals": 5, "components": []}, "intervals"),
+    ],
+    ids=["archimedean", "extreme-value", "ordinal-sum"],
+)
+def test_check_spec_with_malformed_field_is_input_error(tmp_path, capsys, spec, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "check", str(bad), "--property", "si1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"'{field}'" in err
+
+
 # ---------------------------------------------------------------------------
 # product
 # ---------------------------------------------------------------------------

@@ -294,6 +294,146 @@ def test_ev_partial_derivatives_evaluate_pickands_once(rng):
         assert len(calls) == 1
 
 
+def broadcast_ev_cdf(cop, u, v):
+    """Extreme-value cdf with log u, log v and A taken point by point on the
+    broadcast arguments: the reference for the per-axis evaluation."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    out = np.empty(u.shape)
+    zero = (u == 0.0) | (v == 0.0)
+    u_margin = (v == 1.0) & ~zero
+    v_margin = (u == 1.0) & ~zero & ~u_margin
+    interior = ~(zero | u_margin | v_margin)
+    out[zero] = 0.0
+    out[u_margin] = u[u_margin]
+    out[v_margin] = v[v_margin]
+    if np.any(interior):
+        s = np.log(u[interior])
+        r = np.log(v[interior])
+        total = s + r
+        out[interior] = np.exp(total * cop.pickands(s / total))
+    return out
+
+
+def broadcast_ev_pd1(cop, u, v):
+    """d1 of an extreme-value copula, point by point on the broadcast
+    arguments (the reference for the per-axis evaluation)."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    out = np.empty(u.shape)
+    v_zero = v == 0.0
+    v_one = (v == 1.0) & ~v_zero
+    u_zero = (u == 0.0) & ~(v_zero | v_one)
+    interior = ~(v_zero | v_one | u_zero)
+    out[v_zero] = 0.0
+    out[v_one] = 1.0
+    if np.any(u_zero):
+        out[u_zero] = _fd_partial(cop.cdf, u[u_zero], v[u_zero], axis=0)
+    if np.any(interior):
+        ui, vi = u[interior], v[interior]
+        s = np.log(ui)
+        r = np.log(np.minimum(vi, 1.0 - 1e-16))
+        total = s + r
+        t = np.where(total < 0, s / total, 0.0)
+        a = cop.pickands(t)
+        out[interior] = np.exp(total * a) * (a + (1.0 - t) * cop.pickands.derivative(t)) / ui
+    return out
+
+
+def broadcast_ev_pd2(cop, u, v):
+    """d2 of an extreme-value copula, point by point on the broadcast
+    arguments, written out on its own: its weight -t is not d1's 1 - t."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    out = np.empty(u.shape)
+    u_zero = u == 0.0
+    u_one = (u == 1.0) & ~u_zero
+    v_zero = (v == 0.0) & ~(u_zero | u_one)
+    interior = ~(u_zero | u_one | v_zero)
+    out[u_zero] = 0.0
+    out[u_one] = 1.0
+    if np.any(v_zero):
+        out[v_zero] = _fd_partial(cop.cdf, u[v_zero], v[v_zero], axis=1)
+    if np.any(interior):
+        ui, vi = u[interior], v[interior]
+        s = np.log(np.minimum(ui, 1.0 - 1e-16))
+        r = np.log(vi)
+        total = s + r
+        t = np.where(total < 0, s / total, 0.0)
+        a = cop.pickands(t)
+        out[interior] = np.exp(total * a) * (a - t * cop.pickands.derivative(t)) / vi
+    return out
+
+
+def asymmetric_logistic_pickands(theta=2.0, psi1=0.3, psi2=0.9):
+    """Tawn's asymmetric logistic A(t) = (1 - psi1)(1 - t) + (1 - psi2) t +
+    ((psi1 (1 - t))^theta + (psi2 t)^theta)^(1/theta); A(t) != A(1 - t)."""
+
+    def func(t):
+        t = np.asarray(t, dtype=float)
+        inner = np.power(psi1 * (1.0 - t), theta) + np.power(psi2 * t, theta)
+        return (1.0 - psi1) * (1.0 - t) + (1.0 - psi2) * t + np.power(inner, 1.0 / theta)
+
+    def deriv(t):
+        t = np.clip(np.asarray(t, dtype=float), 1e-12, 1.0 - 1e-12)
+        inner = np.power(psi1 * (1.0 - t), theta) + np.power(psi2 * t, theta)
+        slope = psi2**theta * np.power(t, theta - 1.0) - psi1**theta * np.power(
+            1.0 - t, theta - 1.0
+        )
+        return psi1 - psi2 + np.power(inner, 1.0 / theta - 1.0) * slope
+
+    return PickandsFunction("asymmetric-logistic", func, deriv=deriv, theta=theta)
+
+
+EV_PICKANDS = [
+    gumbel_pickands(1.0),
+    gumbel_pickands(2.5),
+    comonotone_pickands(),
+    independence_pickands(),
+    asymmetric_logistic_pickands(),
+]
+
+
+@pytest.mark.parametrize("pickands", EV_PICKANDS, ids=lambda p: f"{p.name}-{p.theta}")
+def test_ev_per_axis_evaluation_matches_the_broadcast_path(pickands, rng):
+    cop = extreme_value_copula(pickands)
+    axis = np.linspace(0.0, 1.0, 65)  # holds both edges
+    flat_u, flat_v = rng.random(200), rng.random(200)
+    flat_u[:10], flat_u[10:20] = 0.0, 1.0
+    flat_v[15:25], flat_v[25:35] = 0.0, 1.0
+    cases = [
+        (axis[:, None], axis[None, :]),
+        (axis[:, None], axis),
+        (axis[1:-1, None], axis[1:-1]),  # all interior
+        (flat_u, flat_v),
+        (0.3, axis),
+        (axis, 0.6),
+        (axis, 1.0),
+    ] + [(a, b) for a in (0.0, 0.4, 1.0) for b in (0.0, 0.7, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for u, v in cases:
+            for got, reference in (
+                (cop.cdf(u, v), broadcast_ev_cdf(cop, u, v)),
+                (cop.partial_derivative(1, u, v), broadcast_ev_pd1(cop, u, v)),
+                (cop.partial_derivative(2, u, v), broadcast_ev_pd2(cop, u, v)),
+            ):
+                assert np.asarray(got).tobytes() == reference.tobytes()
+                if np.ndim(u) == 0 and np.ndim(v) == 0:
+                    assert isinstance(got, float)
+
+
+def test_ev_asymmetric_pickands_against_finite_differences(rng):
+    pickands = asymmetric_logistic_pickands()
+    assert abs(pickands(0.2) - pickands(0.8)) > 0.05
+    cop = extreme_value_copula(pickands)
+    h = 1e-6
+    u, v = rng.uniform(0.05, 0.95, size=(2, 40))
+    fd1 = (cop.cdf(u + h, v) - cop.cdf(u - h, v)) / (2 * h)
+    fd2 = (cop.cdf(u, v + h) - cop.cdf(u, v - h)) / (2 * h)
+    assert np.max(np.abs(cop.partial_derivative(1, u, v) - fd1)) < 1e-7
+    assert np.max(np.abs(cop.partial_derivative(2, u, v) - fd2)) < 1e-7
+    # asymmetry: the copula is not its own transpose
+    assert np.max(np.abs(cop.cdf(u, v) - cop.cdf(v, u))) > 1e-3
+
+
 @pytest.mark.parametrize("theta", [1.5, 2.0, 4.0])
 def test_ev_si_in_both_components_at_grid_64(theta):
     cop = extreme_value_copula(gumbel_pickands(theta))

@@ -103,6 +103,32 @@ def test_malformed_specs_rejected():
         copula_from_spec({"type": "transpose"})
 
 
+MALFORMED_FIELD_SPECS = [
+    ({"type": "archimedean", "family": "clayton"}, "theta"),
+    ({"type": "archimedean", "family": "frank", "theta": [3.0]}, "theta"),
+    ({"type": "extreme-value", "family": "gumbel"}, "theta"),
+    ({"type": "extreme-value", "family": ["gumbel"], "theta": 2.0}, "family"),
+    ({"type": "ordinal-sum", "intervals": 5, "components": []}, "intervals"),
+    ({"type": "ordinal-sum", "intervals": [[0.0, None]], "components": []}, "intervals"),
+    ({"type": "ordinal-sum", "intervals": [[0.0, 0.5]], "components": 5}, "components"),
+]
+
+
+@pytest.mark.parametrize("spec, field", MALFORMED_FIELD_SPECS, ids=lambda x: json.dumps(x))
+def test_malformed_fields_raise_spec_errors_naming_them(spec, field):
+    with pytest.raises(SpecError, match=field):
+        copula_from_spec(spec)
+
+
+def test_parameterless_families_load_with_null_theta():
+    for spec in (
+        {"type": "archimedean", "family": "independence", "theta": None},
+        {"type": "extreme-value", "family": "independence", "theta": None},
+        {"type": "extreme-value", "family": "comonotone"},
+    ):
+        assert copula_from_spec(spec).to_spec() == {**spec, "theta": None}
+
+
 def test_invalid_json_file_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
