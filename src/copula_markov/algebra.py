@@ -215,7 +215,7 @@ def power(c: Copula, n: int, resolution=DEFAULT_RESOLUTION, cap=None):
     """n-fold Markov product (repeated squaring on grids)."""
     if n < 1:
         raise DomainError("power requires n >= 1")
-    if isinstance(c, (UpperFrechetCopula, IndependenceCopula)):
+    if _exact_product(c, c) is not None:
         return c
     (grid,) = _common_grid(c, resolution=resolution, cap=cap)
     return GridCopula._trusted(np.linalg.matrix_power(grid.matrix, n))

@@ -19,6 +19,7 @@ across threads.
 from __future__ import annotations
 
 import abc
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -389,27 +390,33 @@ class GridCopula(Copula):
             return GridCopula._trusted(coarse)
         return super().discretize(n)
 
-    def sample(self, count, seed):
-        if count < 1:
-            raise DomainError("count must be >= 1")
-        rng = np.random.default_rng(seed)
-        u = rng.random(count)
-        w = np.maximum(rng.random(count), 1e-300)
-        k = cell_index(self.n, u)
-        cum = np.cumsum(self.matrix, axis=1)
-        # search each row's cumulative sums for the samples drawn in it, so
-        # no count-by-n table is built; side="left" counts the entries < w
-        m = np.empty(count, dtype=np.intp)
+    def conditional_quantile(self, u, w):
+        """Exact generalized inverse inf{t : d1 C(u, t) >= w}.
+
+        Row k = cell(u) of the running sums is searched for the first cell
+        m whose sum reaches w (at most n - 1); the quantile is that cell's
+        left edge plus the fraction (w - sums[k, m]) / A[k, m] of it, or
+        the edge itself for a cell without mass.  Points are grouped by
+        row, so no points-by-n table is built; u and w broadcast against
+        each other.
+        """
+        u, w = np.broadcast_arrays(_check_unit(u, "u"), np.asarray(w, dtype=float))
+        shape = u.shape
+        u, w = u.reshape(-1), w.reshape(-1)
+        n = self.n
+        sums = self._row_sums
+        k = cell_index(n, u)
+        # side="left" counts the running sums < w, i.e. the first cell
+        # whose sum reaches w
+        m = np.empty(k.size, dtype=np.intp)
         order = np.argsort(k, kind="stable")
-        edges = np.searchsorted(k[order], np.arange(self.n + 1))
-        for row, lo, hi in zip(range(self.n), edges[:-1], edges[1:]):
-            m[order[lo:hi]] = np.searchsorted(cum[row], w[order[lo:hi]], side="left")
-        m = np.minimum(m, self.n - 1)
-        prev = np.where(m > 0, cum[k, np.maximum(m - 1, 0)], 0.0)
+        edges = np.searchsorted(k[order], np.arange(n + 1))
+        for row, lo, hi in zip(range(n), edges[:-1], edges[1:]):
+            m[order[lo:hi]] = np.searchsorted(sums[row, 1:], w[order[lo:hi]], side="left")
+        m = np.minimum(m, n - 1)
         mass = self.matrix[k, m]
-        frac = np.divide(w - prev, mass, out=np.zeros_like(w), where=mass > 0)
-        v = (m + np.clip(frac, 0.0, 1.0)) / self.n
-        return np.column_stack([u, v])
+        frac = np.divide(w - sums[k, m], mass, out=np.zeros_like(w), where=mass > 0)
+        return ((m + np.clip(frac, 0.0, 1.0)) / n).reshape(shape)
 
     def knots_u(self):
         return tuple(np.arange(1, self.n) / self.n)
@@ -662,7 +669,13 @@ class IntervalFamily:
     def __post_init__(self):
         clean = []
         for pair in self.intervals:
-            a, b = float(pair[0]), float(pair[1])
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                a = b = None
+            if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in (a, b)):
+                raise InvariantError(f"interval entry {pair!r} is not a pair of numbers")
+            a, b = float(a), float(b)
             if not (0.0 <= a < b <= 1.0):
                 raise InvariantError(f"bad interval ({a}, {b})")
             clean.append((a, b))
@@ -710,4 +723,4 @@ class IntervalFamily:
 
     @staticmethod
     def from_list(pairs):
-        return IntervalFamily(tuple((float(a), float(b)) for a, b in pairs))
+        return IntervalFamily(tuple(pairs))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Copula, DomainError, GridCopula
+from .core import Copula, DomainError, GridCopula, IndependenceCopula
 
 __all__ = [
     "d_inf",
@@ -306,7 +306,6 @@ def nqd_idempotent_check(c: Copula, tol=1e-9) -> NqdVerdict:
     ``tol`` in sup distance.
     """
     from .algebra import is_idempotent
-    from .core import IndependenceCopula
 
     idem = is_idempotent(c, tol=tol)
     if not idem.idempotent:

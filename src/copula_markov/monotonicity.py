@@ -22,8 +22,10 @@ from .core import (
     Copula,
     DomainError,
     GridCopula,
+    IndependenceCopula,
     StepFunction,
     UpperFrechetCopula,
+    _running_sums,
 )
 from .operators import operator_of
 
@@ -82,10 +84,10 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
         raise DomainError("component must be 1 or 2")
     if tol < 0:
         raise DomainError("tol must be >= 0")
-    work = c if component == 1 else transpose(c)
-    if isinstance(work, GridCopula):
-        verdict = _check_si_grid(work, tol)
+    if isinstance(c, GridCopula):
+        verdict = _check_si_grid(c.matrix if component == 1 else c.matrix.T, tol)
     else:
+        work = c if component == 1 else transpose(c)
         verdict = _check_si_sections(work, tol, u_points, v_points)
     return MonotonicityVerdict(
         si=verdict[0],
@@ -97,12 +99,13 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
     )
 
 
-def _check_si_grid(g: GridCopula, tol):
-    n = g.n
+def _check_si_grid(a, tol):
+    # a is the matrix, or its transpose for component 2: the running sums
+    # along its rows are the conditional laws d1 C(k/n, l/n)
+    n = a.shape[0]
     if n == 1:
         return True, True, 0.0, None, "exact-cumsum"
-    cum = np.cumsum(g.matrix, axis=1)
-    steps = np.diff(cum, axis=0)  # > 0 anywhere breaks SI, < 0 breaks SD
+    steps = np.diff(_running_sums(a)[:, 1:], axis=0)  # > 0 breaks SI, < 0 breaks SD
     si_worst = float(steps.max())
     sd_worst = float(-steps.min())
     k, l = np.unravel_index(np.argmax(steps), steps.shape)
@@ -189,8 +192,6 @@ class QuadrantVerdict:
 def check_quadrant_dependence(c: Copula, tol=1e-9) -> QuadrantVerdict:
     """PQD iff C >= uv - tol on the audit mesh, NQD iff C <= uv + tol;
     both at once pins C to independence within tol."""
-    from .core import IndependenceCopula
-
     pi = IndependenceCopula()
     above, _ = metrics.sup_gap(c, pi, signed=True)
     below, _ = metrics.sup_gap(pi, c, signed=True)

@@ -115,7 +115,7 @@ def fixed_sigma_field(op: DiscreteMarkovOperator, tol=1e-9):
     """
     a = op.matrix
     n = op.n
-    if np.max(np.abs(a @ a - a)) > tol:
+    if not op.is_idempotent(tol):
         raise DomainError(f"operator is not idempotent within {tol:g}")
     adjacency = (a > tol) | (a.T > tol)
     labels = np.full(n, -1)

@@ -29,6 +29,7 @@ from .core import (
     GridCopula,
     IndependenceCopula,
     IntervalFamily,
+    InvariantError,
     LowerFrechetCopula,
     TransposedCopula,
     UpperFrechetCopula,
@@ -73,7 +74,7 @@ def _family(spec, table):
     if family in ("independence", "comonotone"):  # no parameter, "theta": null
         return table[family]()
     theta = spec.get("theta")
-    if not isinstance(theta, (int, float, str)):
+    if not isinstance(theta, (int, float)) or isinstance(theta, bool):
         raise SpecError(f"{spec['type']} family {family!r} needs a numeric 'theta'")
     return table[family](theta)
 
@@ -102,6 +103,8 @@ def copula_from_spec(spec) -> Copula:
             intervals = IntervalFamily.from_list(spec.get("intervals", []))
         except TypeError as exc:
             raise SpecError("ordinal-sum 'intervals' must be a list of [a, b] pairs") from exc
+        except InvariantError as exc:
+            raise SpecError(f"ordinal-sum 'intervals': {exc}") from exc
         specs = spec.get("components", [])
         if not isinstance(specs, list):
             raise SpecError("ordinal-sum 'components' must be a list of specs")

@@ -101,8 +101,10 @@ def test_check_malformed_spec_is_input_error(tmp_path, capsys):
         ({"type": "archimedean", "family": "clayton"}, "theta"),
         ({"type": "extreme-value", "family": "gumbel"}, "theta"),
         ({"type": "ordinal-sum", "intervals": 5, "components": []}, "intervals"),
+        ({"type": "archimedean", "family": "clayton", "theta": True}, "theta"),
+        ({"type": "archimedean", "family": "clayton", "theta": "2.0"}, "theta"),
     ],
-    ids=["archimedean", "extreme-value", "ordinal-sum"],
+    ids=["archimedean", "extreme-value", "ordinal-sum", "boolean-theta", "string-theta"],
 )
 def test_check_spec_with_malformed_field_is_input_error(tmp_path, capsys, spec, field):
     bad = tmp_path / "bad.json"
@@ -250,14 +252,18 @@ def test_iterate_refuses_empty_or_endless_runs(specs, capsys, option, value, wor
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
-    # iterate imports its executor when it runs, not at every start
+    # iterate imports its executor when it runs, not at every start, and
+    # no command needs scipy
     src = os.path.dirname(os.path.dirname(copula_markov.__file__))
-    probe = "import sys, copula_markov.cli; print('concurrent.futures' in sys.modules)"
+    probe = (
+        "import sys, copula_markov.cli; "
+        "print([m for m in ('concurrent.futures', 'scipy') if m in sys.modules])"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout == "False\n"
+    assert result.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from copula_markov import (
+    Copula,
     DiscreteMarkovOperator,
     DomainError,
     GridCopula,
@@ -363,6 +364,81 @@ def test_sample_rejects_bad_count(pi):
         pi.sample(0, seed=1)
 
 
+def table_quantile(matrix, u, w):
+    """Reference: the inverse of table_sample for given u and w, through a
+    points-by-n table of the rows' cumulative sums."""
+    n = matrix.shape[0]
+    u, w = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(w, dtype=float))
+    shape = u.shape
+    u, w = u.reshape(-1), w.reshape(-1)
+    k = cell_index(n, u)
+    row_cum = np.cumsum(matrix, axis=1)[k, :]
+    m = np.minimum((row_cum < w[:, None]).sum(axis=1), n - 1)
+    prev = np.where(
+        m > 0, np.take_along_axis(row_cum, np.maximum(m - 1, 0)[:, None], 1)[:, 0], 0.0
+    )
+    mass = matrix[k, m]
+    frac = np.divide(w - prev, mass, out=np.zeros_like(w), where=mass > 0)
+    return ((m + np.clip(frac, 0.0, 1.0)) / n).reshape(shape)
+
+
+def quantile_grids(rng):
+    # rows with zero-mass cells at the start, inside and at the end; the
+    # permutation grids and CHECKER3 sum every row to exactly 1.0
+    return [
+        GridCopula(CHECKER3),
+        GridCopula(np.eye(4)),
+        GridCopula(np.eye(5)[::-1].copy()),
+        GridCopula(np.array([[0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0],
+                             [0.25, 0.25, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]])),
+        GridCopula(random_doubly_stochastic(rng, 7)),
+        GridCopula(random_doubly_stochastic(rng, 16, n_perms=3)),
+    ]
+
+
+def quantile_points(rng, n):
+    u = np.concatenate([[0.0, 1.0, 0.5], np.arange(1, n) / n, rng.random(12)])
+    w = np.concatenate([[0.0, 1.0, 1e-300, 0.25, 1 / 3, 0.5, 2 / 3, 0.75], rng.random(16)])
+    return u[:, None], w[None, :]
+
+
+def test_grid_conditional_quantile_matches_table_inverse(rng):
+    for grid in quantile_grids(rng):
+        u, w = quantile_points(rng, grid.n)
+        got = grid.conditional_quantile(u, w)
+        assert got.shape == (u.size, w.size)
+        assert np.array_equal(got, table_quantile(grid.matrix, u, w))
+        for x, y in ((0.2, 0.5), (1.0, 1.0), (0.0, 0.0)):
+            one = grid.conditional_quantile(x, y)
+            assert one.shape == ()
+            assert np.array_equal(one, table_quantile(grid.matrix, x, y))
+
+
+def test_grid_conditional_quantile_agrees_with_bisection(rng):
+    # beyond a row's floating-point total (w = 1 on a row summing to
+    # 1 - 1e-16) the set {t : d1 C(u, t) >= w} is empty and the two
+    # conventions differ, so w = 1 is compared on rows that sum to 1.0
+    for grid in quantile_grids(rng):
+        u, w = quantile_points(rng, grid.n)
+        exact_rows = bool(np.all(np.cumsum(grid.matrix, axis=1)[:, -1] == 1.0))
+        if not exact_rows:
+            w = w[w < 1.0][None, :]
+        got = grid.conditional_quantile(u, w)
+        reference = Copula.conditional_quantile(grid, u, w)
+        assert np.max(np.abs(got - reference)) <= 1e-15
+
+
+def test_grid_conditional_quantile_checks_u():
+    grid = GridCopula(CHECKER3)
+    for bad in (-0.1, 1.5, np.nan):
+        with pytest.raises(DomainError):
+            grid.conditional_quantile(bad, 0.5)
+
+
+def test_every_carrier_samples_through_the_conditional_quantile():
+    assert "sample" not in GridCopula.__dict__
+
+
 # ---------------------------------------------------------------------------
 # carrier validation
 # ---------------------------------------------------------------------------
@@ -515,6 +591,21 @@ def test_interval_family_rejects_overlap():
         IntervalFamily(((0.0, 0.5), (0.4, 1.0)))
     with pytest.raises(InvariantError):
         IntervalFamily(((0.5, 0.5),))
+
+
+@pytest.mark.parametrize(
+    "entry", [(0, 0.5, 1), (0.2,), {"a": 0, "b": 0.5}, "ab", (True, 0.5), ("0", "0.5"), None]
+)
+def test_interval_family_rejects_entries_that_are_not_pairs_of_numbers(entry):
+    with pytest.raises(InvariantError, match="not a pair of numbers"):
+        IntervalFamily((entry,))
+    with pytest.raises(InvariantError, match="not a pair of numbers"):
+        IntervalFamily.from_list([[0.6, 0.8], entry])
+
+
+def test_interval_family_accepts_numpy_rows():
+    fam = IntervalFamily.from_list(np.array([[0.5, 1.0], [0.0, 0.25]]))
+    assert fam.to_list() == [[0.0, 0.25], [0.5, 1.0]]
 
 
 def test_interval_family_sorts_and_allows_touching():

@@ -21,7 +21,10 @@ from copula_markov import (
     si_sd_involution,
 )
 
+from copula_markov import monotonicity
+from copula_markov.algebra import transpose
 from copula_markov.metrics import sup_gap
+from copula_markov.monotonicity import MonotonicityVerdict
 
 from conftest import CHECKER3, random_doubly_stochastic
 
@@ -83,6 +86,61 @@ def test_check_si_rejects_bad_arguments(pi):
         check_si(pi, component=0)
     with pytest.raises(DomainError):
         check_si(pi, component=1, tol=-1.0)
+
+
+def cumsum_check_si(c, component, tol):
+    """Reference: the grid SI check through a transposed grid and its own
+    cumulative row sums."""
+    work = c if component == 1 else transpose(c)
+    n = work.n
+    if n == 1:
+        verdict = True, True, 0.0, None, "exact-cumsum"
+    else:
+        cum = np.cumsum(work.matrix, axis=1)
+        steps = np.diff(cum, axis=0)  # > 0 anywhere breaks SI, < 0 breaks SD
+        si_worst = float(steps.max())
+        sd_worst = float(-steps.min())
+        k, l = np.unravel_index(np.argmax(steps), steps.shape)
+        witness = ((k + 0.5) / n, (k + 1.5) / n, (l + 1.0) / n)
+        verdict = si_worst <= tol, sd_worst <= tol, max(si_worst, 0.0), witness, "exact-cumsum"
+    return MonotonicityVerdict(
+        si=verdict[0],
+        sd=verdict[1],
+        component=component,
+        max_violation=verdict[2],
+        witness=verdict[3],
+        method=verdict[4],
+    ).to_json()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+def test_grid_si_check_matches_the_cumsum_reference(rng, n):
+    si = 0.6 * np.eye(n) + 0.4 / n  # SI; its row reversal is SD
+    grids = [
+        si,
+        si[::-1].copy(),
+        np.full((n, n), 1.0 / n),  # both
+        random_doubly_stochastic(rng, n),
+        random_doubly_stochastic(rng, n, n_perms=2),
+    ]
+    if n % 2 == 0:
+        half = np.full((n // 2, n // 2), 2.0 / n)
+        grids.append(np.kron(np.eye(2), half))  # ordinal sum of two independence blocks
+        grids.append(np.kron(np.eye(2)[::-1], half))
+    for a in grids:
+        grid = GridCopula(a)
+        for component in (1, 2):
+            for tol in (0.0, 1e-9):
+                expected = cumsum_check_si(grid, component, tol)
+                assert check_si(grid, component, tol=tol).to_json() == expected
+
+
+def test_grid_si_check_builds_no_transposed_grid(checker3, monkeypatch):
+    def refuse(c):
+        raise AssertionError("transpose called")
+
+    monkeypatch.setattr(monotonicity, "transpose", refuse)
+    assert not check_si(checker3, component=2).si
 
 
 # ---------------------------------------------------------------------------

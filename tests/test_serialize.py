@@ -111,6 +111,11 @@ MALFORMED_FIELD_SPECS = [
     ({"type": "ordinal-sum", "intervals": 5, "components": []}, "intervals"),
     ({"type": "ordinal-sum", "intervals": [[0.0, None]], "components": []}, "intervals"),
     ({"type": "ordinal-sum", "intervals": [[0.0, 0.5]], "components": 5}, "components"),
+    ({"type": "archimedean", "family": "clayton", "theta": True}, "theta"),
+    ({"type": "archimedean", "family": "clayton", "theta": "2.0"}, "theta"),
+    ({"type": "ordinal-sum", "intervals": [[0, 0.5, 1]], "components": []}, "intervals"),
+    ({"type": "ordinal-sum", "intervals": [[0.2]], "components": []}, "intervals"),
+    ({"type": "ordinal-sum", "intervals": [{"a": 0, "b": 0.5}], "components": []}, "intervals"),
 ]
 
 
