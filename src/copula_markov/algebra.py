@@ -62,6 +62,11 @@ RESOLUTION_CAP_ENV = "COPULA_GRID_CAP"
 
 _DEFAULT_CAP = 4096
 
+# extract_pi_ordinal_structure: diagonal-gap level that marks a block edge,
+# and bisection steps per edge
+_EDGE_EPS = 1e-12
+_EDGE_ITERS = 80
+
 
 class ResolutionCapError(CopulaError):
     """A mixed-resolution product would exceed the refinement cap."""
@@ -394,16 +399,16 @@ def _diagonal_gap(c: Copula, v):
     return v - np.asarray(c.cdf(v, v))
 
 
-def _refine_edges(c, lo, hi, gap_lo, eps=1e-12, iters=80):
-    """Boundaries of {v : v - C(v, v) > eps}, one inside each bracket
+def _refine_edges(c, lo, hi, gap_lo):
+    """Boundaries of {v : v - C(v, v) > _EDGE_EPS}, one inside each bracket
     (lo[i], hi[i]) whose diagonal gap at lo[i] is ``gap_lo[i]``, by
     bisecting every bracket at once: one cdf call per step."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    side_lo = np.asarray(gap_lo) > eps
-    for _ in range(iters):
+    side_lo = np.asarray(gap_lo) > _EDGE_EPS
+    for _ in range(_EDGE_ITERS):
         mid = 0.5 * (lo + hi)
-        keep_lo_side = (_diagonal_gap(c, mid) > eps) == side_lo
+        keep_lo_side = (_diagonal_gap(c, mid) > _EDGE_EPS) == side_lo
         lo = np.where(keep_lo_side, mid, lo)
         hi = np.where(keep_lo_side, hi, mid)
     return 0.5 * (lo + hi)

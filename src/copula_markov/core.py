@@ -139,13 +139,28 @@ def _trusted_carrier(cls, matrix):
 class Copula(abc.ABC):
     """Interface shared by all copula carriers.
 
-    ``cdf`` and ``partial_derivative`` are vectorized over numpy arrays and
-    broadcast their point arguments.
+    ``cdf``, ``partial_derivative``, ``conditional_quantile`` and
+    ``discretize`` are the public entries: each checks its arguments once
+    and calls the carrier's unchecked kernel.  A carrier implements
+
+    * ``_cdf(u, v)``, C(u, v);
+    * ``_partial(component, u, v, side)``, by default central finite
+      differences of ``_cdf``;
+    * ``_quantile(u, w)``, by default bisection of ``_partial(1, ...)``;
+    * ``_discretize(n)``, by default the cell masses of ``_cdf`` on the
+      corner lattice.
+
+    Kernels take float ndarrays in [0, 1] (0-d for scalars), broadcast
+    their point arguments, and call each other, never the public entries.
     """
 
-    @abc.abstractmethod
     def cdf(self, u, v):
         """C(u, v).  Raises :class:`DomainError` outside the unit square."""
+        return self._cdf(_check_unit(u, "u"), _check_unit(v, "v"))
+
+    @abc.abstractmethod
+    def _cdf(self, u, v):
+        """C(u, v) on checked arrays."""
 
     @abc.abstractmethod
     def to_spec(self) -> dict:
@@ -161,19 +176,12 @@ class Copula(abc.ABC):
         right-hand limit in the differentiated variable, "left" the
         left-hand one.  Both are versions of the same a.e.-defined function.
         """
-        u = _check_unit(u, "u")
-        v = _check_unit(v, "v")
-        if component == 1:
-            return self._pd1(u, v, side)
-        if component == 2:
-            return self._pd2(u, v, side)
-        raise DomainError(f"component must be 1 or 2, got {component!r}")
+        if component not in (1, 2):
+            raise DomainError(f"component must be 1 or 2, got {component!r}")
+        return self._partial(component, _check_unit(u, "u"), _check_unit(v, "v"), side)
 
-    def _pd1(self, u, v, side):
-        return _fd_partial(self.cdf, u, v, axis=0)
-
-    def _pd2(self, u, v, side):
-        return _fd_partial(self.cdf, u, v, axis=1)
+    def _partial(self, component, u, v, side):
+        return _fd_partial(self._cdf, u, v, axis=component - 1)
 
     # -- volumes and discretization -----------------------------------------
 
@@ -188,9 +196,11 @@ class Copula(abc.ABC):
 
     def discretize(self, n):
         """Checkerboard approximation at resolution n (exact cell masses)."""
-        n = _check_resolution(n)
+        return self._discretize(_check_resolution(n))
+
+    def _discretize(self, n):
         g = np.linspace(0.0, 1.0, n + 1)
-        corners = np.asarray(self.cdf(g[:, None], g[None, :]), dtype=float)
+        corners = np.asarray(self._cdf(g[:, None], g[None, :]), dtype=float)
         a = n * np.diff(np.diff(corners, axis=0), axis=1)
         if a.min() < -MATRIX_TOL:
             raise DomainError(
@@ -206,15 +216,17 @@ class Copula(abc.ABC):
         return self.partial_derivative(1, u, t)
 
     def conditional_quantile(self, u, w):
-        """Generalized inverse inf{t : d1 C(u, t) >= w}, by bisection."""
-        u = np.asarray(u, dtype=float)
-        w = np.asarray(w, dtype=float)
+        """Generalized inverse inf{t : d1 C(u, t) >= w}; u and w broadcast."""
+        return self._quantile(_check_unit(u, "u"), _check_unit(w, "w"))
+
+    def _quantile(self, u, w):
+        # bisection on the right-hand conditional law
         shape = np.broadcast_shapes(u.shape, w.shape)
         lo = np.zeros(shape)
         hi = np.ones(shape)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            above = self.conditional_cdf(u, mid) >= w
+            above = self._partial(1, u, mid, "right") >= w
             hi = np.where(above, mid, hi)
             lo = np.where(above, lo, mid)
         return hi
@@ -335,9 +347,7 @@ class GridCopula(Copula):
         """Exact cdf values on the (n+1)x(n+1) corner lattice."""
         return self._prefix / self.n
 
-    def cdf(self, u, v):
-        u = _check_unit(u, "u")
-        v = _check_unit(v, "v")
+    def _cdf(self, u, v):
         u, v = np.broadcast_arrays(u, v)
         n = self.n
         ku = cell_index(n, u)
@@ -363,10 +373,9 @@ class GridCopula(Copula):
         """(n, n+1) running sums down each column of the matrix, from 0."""
         return _running_sums(self.matrix.T)
 
-    def _pd1(self, u, v, side):
-        return _line_derivative(self._row_sums, self.matrix, u, v, side)
-
-    def _pd2(self, u, v, side):
+    def _partial(self, component, u, v, side):
+        if component == 1:
+            return _line_derivative(self._row_sums, self.matrix, u, v, side)
         return _line_derivative(self._column_sums, self.matrix.T, v, u, side)
 
     def refined(self, factor):
@@ -378,8 +387,7 @@ class GridCopula(Copula):
             return self
         return GridCopula._trusted(np.kron(self.matrix, np.full((r, r), 1.0 / r)))
 
-    def discretize(self, n):
-        n = _check_resolution(n)
+    def _discretize(self, n):
         if n == self.n:
             return self
         if n % self.n == 0:
@@ -388,32 +396,32 @@ class GridCopula(Copula):
             r = self.n // n
             coarse = self.matrix.reshape(n, r, n, r).sum(axis=(1, 3)) / r
             return GridCopula._trusted(coarse)
-        return super().discretize(n)
+        return super()._discretize(n)
 
-    def conditional_quantile(self, u, w):
+    def _quantile(self, u, w):
         """Exact generalized inverse inf{t : d1 C(u, t) >= w}.
 
         Row k = cell(u) of the running sums is searched for the first cell
-        m whose sum reaches w (at most n - 1); the quantile is that cell's
-        left edge plus the fraction (w - sums[k, m]) / A[k, m] of it, or
-        the edge itself for a cell without mass.  Points are grouped by
-        row, so no points-by-n table is built; u and w broadcast against
-        each other.
+        m whose sum reaches w, clamped to the row's total (which rounding
+        may leave just below 1); the quantile is that cell's left edge plus
+        the fraction (w - sums[k, m]) / A[k, m] of it, clipped to [0, 1],
+        so a w above the total gives the end of the row's support.  Points
+        are grouped by row, so no points-by-n table is built.
         """
-        u, w = np.broadcast_arrays(_check_unit(u, "u"), np.asarray(w, dtype=float))
+        u, w = np.broadcast_arrays(u, w)
         shape = u.shape
         u, w = u.reshape(-1), w.reshape(-1)
         n = self.n
         sums = self._row_sums
         k = cell_index(n, u)
-        # side="left" counts the running sums < w, i.e. the first cell
-        # whose sum reaches w
+        reach = np.minimum(w, sums[k, n])
+        # side="left" counts the running sums < reach, i.e. the first cell
+        # whose sum reaches it
         m = np.empty(k.size, dtype=np.intp)
         order = np.argsort(k, kind="stable")
         edges = np.searchsorted(k[order], np.arange(n + 1))
         for row, lo, hi in zip(range(n), edges[:-1], edges[1:]):
-            m[order[lo:hi]] = np.searchsorted(sums[row, 1:], w[order[lo:hi]], side="left")
-        m = np.minimum(m, n - 1)
+            m[order[lo:hi]] = np.searchsorted(sums[row, 1:], reach[order[lo:hi]], side="left")
         mass = self.matrix[k, m]
         frac = np.divide(w - sums[k, m], mass, out=np.zeros_like(w), where=mass > 0)
         return ((m + np.clip(frac, 0.0, 1.0)) / n).reshape(shape)
@@ -458,26 +466,21 @@ def _line_derivative(sums, a, x, y, side):
 class IndependenceCopula(Copula):
     """C(u, v) = u v."""
 
-    def cdf(self, u, v):
-        u = _check_unit(u, "u")
-        v = _check_unit(v, "v")
+    def _cdf(self, u, v):
         return u * v
 
-    def _pd1(self, u, v, side):
+    def _partial(self, component, u, v, side):
+        if component == 2:
+            u, v = v, u
         v, _ = np.broadcast_arrays(v, u)
         return v.copy() if v.shape else float(v)
 
-    def _pd2(self, u, v, side):
-        u, _ = np.broadcast_arrays(u, v)
-        return u.copy() if u.shape else float(u)
-
-    def conditional_quantile(self, u, w):
-        w, _ = np.broadcast_arrays(np.asarray(w, dtype=float), np.asarray(u))
+    def _quantile(self, u, w):
+        w, _ = np.broadcast_arrays(w, u)
         return w.copy()
 
-    def discretize(self, n):
+    def _discretize(self, n):
         # every line holds n entries 1/n: doubly stochastic by construction
-        n = _check_resolution(n)
         return GridCopula._trusted(np.full((n, n), 1.0 / n))
 
     def to_spec(self):
@@ -496,12 +499,12 @@ class IndependenceCopula(Copula):
 class UpperFrechetCopula(Copula):
     """Upper Frechet-Hoeffding bound C(u, v) = min(u, v) (comonotone)."""
 
-    def cdf(self, u, v):
-        u = _check_unit(u, "u")
-        v = _check_unit(v, "v")
+    def _cdf(self, u, v):
         return np.minimum(u, v)
 
-    def _pd1(self, u, v, side):
+    def _partial(self, component, u, v, side):
+        if component == 2:
+            u, v = v, u
         u, v = np.broadcast_arrays(u, v)
         if side == "left":
             out = (u <= v).astype(float)
@@ -509,20 +512,17 @@ class UpperFrechetCopula(Copula):
             out = (u < v).astype(float)
         return out if out.shape else float(out)
 
-    def _pd2(self, u, v, side):
-        return self._pd1(v, u, side)
-
-    def conditional_quantile(self, u, w):
-        u, _ = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(w))
+    def _quantile(self, u, w):
+        u, _ = np.broadcast_arrays(u, w)
         return u.copy()
 
     def conditional_knots(self, u):
         return (float(u),)
 
-    def discretize(self, n):
+    def _discretize(self, n):
         # mass sits on the diagonal v = u, one cell's worth per diagonal
         # cell: a permutation matrix, doubly stochastic by construction
-        return GridCopula._trusted(np.eye(_check_resolution(n)))
+        return GridCopula._trusted(np.eye(n))
 
     def to_spec(self):
         return {"type": "frechet-upper"}
@@ -540,12 +540,12 @@ class UpperFrechetCopula(Copula):
 class LowerFrechetCopula(Copula):
     """Lower Frechet-Hoeffding bound C(u, v) = max(u + v - 1, 0)."""
 
-    def cdf(self, u, v):
-        u = _check_unit(u, "u")
-        v = _check_unit(v, "v")
+    def _cdf(self, u, v):
         return np.maximum(u + v - 1.0, 0.0)
 
-    def _pd1(self, u, v, side):
+    def _partial(self, component, u, v, side):
+        if component == 2:
+            u, v = v, u
         u, v = np.broadcast_arrays(u, v)
         if side == "left":
             out = (u > 1.0 - v).astype(float)
@@ -553,19 +553,16 @@ class LowerFrechetCopula(Copula):
             out = (u >= 1.0 - v).astype(float)
         return out if out.shape else float(out)
 
-    def _pd2(self, u, v, side):
-        return self._pd1(v, u, side)
-
-    def conditional_quantile(self, u, w):
-        u, _ = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(w))
+    def _quantile(self, u, w):
+        u, _ = np.broadcast_arrays(u, w)
         return 1.0 - u
 
     def conditional_knots(self, u):
         return (1.0 - float(u),)
 
-    def discretize(self, n):
+    def _discretize(self, n):
         # mass sits on the antidiagonal v = 1 - u (a permutation matrix)
-        return GridCopula._trusted(np.eye(_check_resolution(n))[::-1].copy())
+        return GridCopula._trusted(np.eye(n)[::-1].copy())
 
     def to_spec(self):
         return {"type": "frechet-lower"}
@@ -586,14 +583,11 @@ class TransposedCopula(Copula):
 
     base: Copula
 
-    def cdf(self, u, v):
-        return self.base.cdf(v, u)
+    def _cdf(self, u, v):
+        return self.base._cdf(v, u)
 
-    def _pd1(self, u, v, side):
-        return self.base.partial_derivative(2, v, u, side=side)
-
-    def _pd2(self, u, v, side):
-        return self.base.partial_derivative(1, v, u, side=side)
+    def _partial(self, component, u, v, side):
+        return self.base._partial(3 - component, v, u, side)
 
     def knots_u(self):
         return self.base.knots_v()

@@ -24,7 +24,6 @@ from .core import (
     InvariantError,
     IntervalFamily,
     UpperFrechetCopula,
-    _check_unit,
     _fd_partial,
 )
 
@@ -54,6 +53,14 @@ class InconclusiveError(Exception):
     """A numeric certificate could not be evaluated (not a negative verdict)."""
 
 
+# points of the decreasing-and-convex audit of a generator
+_GENERATOR_AUDIT_POINTS = 257
+
+# bracket width and bracket doublings of _invert_decreasing
+_INVERT_TOL = 1e-12
+_INVERT_MAX_DOUBLINGS = 400
+
+
 # ---------------------------------------------------------------------------
 # Archimedean generators
 # ---------------------------------------------------------------------------
@@ -77,11 +84,11 @@ class ArchimedeanGenerator:
     def __post_init__(self):
         self._validate()
 
-    def _validate(self, points=257):
+    def _validate(self):
         if abs(float(self.phi(0.0)) - 1.0) > 1e-12:
             raise InvariantError(f"generator {self.name}: phi(0) must equal 1")
         # decreasing and convex on a quantile-spaced audit grid
-        u = np.linspace(1e-6, 1.0 - 1e-9, points)
+        u = np.linspace(1e-6, 1.0 - 1e-9, _GENERATOR_AUDIT_POINTS)
         t = np.sort(np.asarray(self.phi_inverse(u), dtype=float))
         t = t[np.isfinite(t)]
         vals = np.asarray(self.phi(t), dtype=float)
@@ -206,27 +213,27 @@ def tabulated_generator(t_values, phi_values, name="tabulated"):
     return ArchimedeanGenerator(name, phi, phi_inverse, phi_prime)
 
 
-def _invert_decreasing(f, y, hi_start=1.0, tol=1e-12, max_doublings=400):
+def _invert_decreasing(f, y, hi_start):
     """Solve f(t) = y for decreasing f on [0, inf) by monotone bisection."""
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
     hi = np.full(y.shape, hi_start)
-    for _ in range(max_doublings):
+    for _ in range(_INVERT_MAX_DOUBLINGS):
         need = np.asarray(f(hi)) > y
         if not np.any(need):
             break
         hi = np.where(need, hi * 2.0, hi)
     lo = np.zeros_like(hi)
-    # each point stops once its own bracket is within tol, so its value
-    # does not depend on the other points solved alongside it
-    open_ = hi - lo > tol
+    # each point stops once its own bracket is within _INVERT_TOL, so its
+    # value does not depend on the other points solved alongside it
+    open_ = hi - lo > _INVERT_TOL
     while np.any(open_):
         mid = 0.5 * (lo + hi)
         high_side = np.asarray(f(mid)) > y
         lo = np.where(open_ & high_side, mid, lo)
         hi = np.where(open_ & ~high_side, mid, hi)
-        open_ = hi - lo > tol
+        open_ = hi - lo > _INVERT_TOL
     out = 0.5 * (lo + hi)
     return float(out[0]) if scalar else out
 
@@ -273,9 +280,7 @@ class ArchimedeanCopula(Copula):
 
     generator: ArchimedeanGenerator
 
-    def cdf(self, u, v):
-        u = _check_unit(u, "u")
-        v = _check_unit(v, "v")
+    def _cdf(self, u, v):
         g = self.generator
         tu, inner_u = _on_open_unit(g.phi_inverse, u, u)
         tv, inner_v = _on_open_unit(g.phi_inverse, v, v)
@@ -284,10 +289,12 @@ class ArchimedeanCopula(Copula):
         out = np.asarray(g.phi(tu + tv), dtype=float)
         return _with_margins(out, u, v, inner_u.all() and inner_v.all())
 
-    def _pd1(self, u, v, side):
+    def _partial(self, component, u, v, side):
+        if component == 2:
+            u, v = v, u
         g = self.generator
         if g.phi_prime is None:
-            return super()._pd1(u, v, side)
+            return super()._partial(1, u, v, side)
         tu, inner_u = _on_open_unit(g.phi_inverse, u, u)
         tv, inner_v = _on_open_unit(g.phi_inverse, v, v)
         slope_u, _ = _on_open_unit(g.phi_prime, u, tu)
@@ -303,13 +310,10 @@ class ArchimedeanCopula(Copula):
             out[v == 1.0] = 1.0
             u_edge = ~inner_u & inner_v
             if np.any(u_edge):
-                out[u_edge] = _fd_partial(self.cdf, u[u_edge], v[u_edge], axis=0)
+                out[u_edge] = _fd_partial(self._cdf, u[u_edge], v[u_edge], axis=0)
             if np.any(interior):
                 out[interior] = np.asarray(g.phi_prime(s[interior])) / slope_u[interior]
         return out if out.shape else float(out)
-
-    def _pd2(self, u, v, side):
-        return self._pd1(v, u, side)
 
     def to_spec(self):
         return {
@@ -441,17 +445,9 @@ class ExtremeValueCopula(Copula):
 
     pickands: PickandsFunction
 
-    def cdf(self, u, v):
-        u = _check_unit(u, "u")
-        v = _check_unit(v, "v")
+    def _cdf(self, u, v):
         total, _, a, inner = self._exponent(u, v)
         return _with_margins(np.asarray(np.exp(total * a), dtype=float), u, v, inner)
-
-    def _pd1(self, u, v, side):
-        return self._partial(u, v, axis=0)
-
-    def _pd2(self, u, v, side):
-        return self._partial(u, v, axis=1)
 
     def _exponent(self, u, v):
         """log uv, t = log u / log uv, A(t), and whether all of u and v lie in
@@ -463,23 +459,24 @@ class ExtremeValueCopula(Copula):
         t = np.divide(lu, total, out=np.zeros(total.shape), where=total != 0.0)
         return total, t, self.pickands(t), inner_u.all() and inner_v.all()
 
-    def _partial(self, u, v, axis):
-        """d/du (axis 0) or d/dv (axis 1): exp(log(uv) A(t)) (A(t) + w A'(t)) / x
-        with x = u, w = 1 - t or x = v, w = -t."""
+    def _partial(self, component, u, v, side):
+        """d/du (component 1) or d/dv (component 2):
+        exp(log(uv) A(t)) (A(t) + w A'(t)) / x with x = u, w = 1 - t or
+        x = v, w = -t."""
         total, t, a, inner = self._exponent(u, v)
-        x, w = (u, 1.0 - t) if axis == 0 else (v, -t)
+        x, w = (u, 1.0 - t) if component == 1 else (v, -t)
         # 1 stands in for x = 0, where the finite difference replaces the value
         scale = x if inner else np.where(x > 0.0, x, 1.0)
         out = np.exp(total * a) * (a + w * self.pickands.derivative(t)) / scale
         out = np.asarray(out, dtype=float)
         if not inner:
             u, v = np.broadcast_arrays(u, v)
-            x, y = (u, v) if axis == 0 else (v, u)
+            x, y = (u, v) if component == 1 else (v, u)
             out[y == 0.0] = 0.0
             out[y == 1.0] = 1.0
             x_zero = (x == 0.0) & (y > 0.0) & (y < 1.0)
             if np.any(x_zero):
-                out[x_zero] = _fd_partial(self.cdf, u[x_zero], v[x_zero], axis=axis)
+                out[x_zero] = _fd_partial(self._cdf, u[x_zero], v[x_zero], axis=component - 1)
         return out if out.shape else float(out)
 
     def to_spec(self):
@@ -520,8 +517,8 @@ class OrdinalSumCopula(Copula):
         object.__setattr__(self, "components", comps)
 
     def _blockwise(self, u, v, base, block):
-        scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-        u, v = np.atleast_1d(*np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float)))
+        scalar = u.ndim == 0 and v.ndim == 0
+        u, v = np.atleast_1d(*np.broadcast_arrays(u, v))
         out = np.array(base(u, v), dtype=float)
         for (a, b), comp in zip(self.intervals, self.components):
             inside = (u > a) & (u < b) & (v > a) & (v < b)
@@ -530,30 +527,21 @@ class OrdinalSumCopula(Copula):
                 out[inside] = block(comp, a, w, (u[inside] - a) / w, (v[inside] - a) / w)
         return float(out[0]) if scalar else out
 
-    def cdf(self, u, v):
-        u = _check_unit(u, "u")
-        v = _check_unit(v, "v")
+    def _cdf(self, u, v):
         return self._blockwise(
             u,
             v,
             np.minimum,
-            lambda comp, a, w, s, t: a + w * np.asarray(comp.cdf(s, t)),
+            lambda comp, a, w, s, t: a + w * np.asarray(comp._cdf(s, t)),
         )
-
-    def _pd1(self, u, v, side):
-        return self._partial(1, u, v, side)
-
-    def _pd2(self, u, v, side):
-        return self._partial(2, u, v, side)
 
     def _partial(self, component, u, v, side):
         upper = UpperFrechetCopula()
-        base = upper._pd1 if component == 1 else upper._pd2
         return self._blockwise(
             u,
             v,
-            lambda uu, vv: base(uu, vv, side),
-            lambda comp, a, w, s, t: np.asarray(comp.partial_derivative(component, s, t, side)),
+            lambda uu, vv: upper._partial(component, uu, vv, side),
+            lambda comp, a, w, s, t: np.asarray(comp._partial(component, s, t, side)),
         )
 
     def knots_u(self):

@@ -64,13 +64,6 @@ class DiscreteMarkovOperator:
     def is_idempotent(self, tol=1e-12) -> bool:
         return bool(np.max(np.abs(self.matrix @ self.matrix - self.matrix)) <= tol)
 
-    def to_spec(self):
-        return {
-            "type": "markov-operator",
-            "resolution": self.n,
-            "matrix": self.matrix.tolist(),
-        }
-
 
 def operator_of(c: Copula, n: int) -> DiscreteMarkovOperator:
     """Operator of C at resolution n (the matrix of its checkerboard)."""

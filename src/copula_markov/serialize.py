@@ -136,6 +136,8 @@ def load_copula(path) -> Copula:
 
 
 def save_copula(c: Copula, path) -> None:
+    if not isinstance(c, Copula):
+        raise SpecError(f"cannot save: {type(c).__name__} is not a copula")
     path = str(path)
     if path.endswith(".csv"):
         if not isinstance(c, GridCopula):
