@@ -31,6 +31,8 @@ from .core import (
     LowerFrechetCopula,
     TransposedCopula,
     UpperFrechetCopula,
+    _check_tol,
+    _Record,
 )
 from .families import OrdinalSumCopula
 from . import metrics
@@ -227,20 +229,13 @@ def power(c: Copula, n: int, resolution=DEFAULT_RESOLUTION, cap=None):
 
 
 @dataclass(frozen=True)
-class IdempotenceVerdict:
+class IdempotenceVerdict(_Record):
     idempotent: bool
     gap: float
     witness: tuple
 
     def __bool__(self):
         return self.idempotent
-
-    def to_json(self):
-        return {
-            "idempotent": self.idempotent,
-            "gap": self.gap,
-            "witness": list(self.witness),
-        }
 
 
 def is_idempotent(c: Copula, tol=1e-9, resolution=DEFAULT_RESOLUTION) -> IdempotenceVerdict:
@@ -255,8 +250,7 @@ def is_idempotent(c: Copula, tol=1e-9, resolution=DEFAULT_RESOLUTION) -> Idempot
     Everything else goes through the product; a grid square is compared
     with C discretized at its resolution, exactly on the corner lattice.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol, positive=True)
     if isinstance(c, OrdinalSumCopula):
         gap, witness = 0.0, (0.0, 0.0)
         for (a, b), comp in zip(c.intervals, c.components):
@@ -280,7 +274,7 @@ def is_idempotent(c: Copula, tol=1e-9, resolution=DEFAULT_RESOLUTION) -> Idempot
 
 
 @dataclass(frozen=True)
-class IterateReport:
+class IterateReport(_Record):
     """Outcome of iterating C, C*C, C*C*C, ... to its idempotent limit."""
 
     n_steps: int
@@ -291,15 +285,7 @@ class IterateReport:
     converged: bool
     steps: tuple  # (step, d_inf_gap, d1_gap) per iteration
 
-    def to_json(self):
-        return {
-            "n_steps": self.n_steps,
-            "limit": self.limit.to_spec(),
-            "intervals": self.intervals.to_list(),
-            "sup_gap": self.sup_gap,
-            "monotone_decrease_violation": self.monotone_decrease_violation,
-            "converged": self.converged,
-        }
+    _json_skip = ("steps",)
 
 
 def iterate_to_limit(
@@ -328,8 +314,8 @@ def iterate_to_limit(
 
     from .monotonicity import check_si
 
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol, positive=True)
+    _check_tol(interval_tol, positive=True, name="interval_tol")
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
     (base,) = _common_grid(c, resolution=resolution)
@@ -379,19 +365,12 @@ def iterate_to_limit(
 
 
 @dataclass(frozen=True)
-class PiDecomposition:
+class PiDecomposition(_Record):
     """Interval family of an idempotent copula plus per-block verification."""
 
     intervals: IntervalFamily
     block_gaps: tuple
     max_block_gap: float
-
-    def to_json(self):
-        return {
-            "intervals": self.intervals.to_list(),
-            "block_gaps": list(self.block_gaps),
-            "max_block_gap": self.max_block_gap,
-        }
 
 
 def _diagonal_gap(c: Copula, v):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -68,6 +68,12 @@ def _check_unit(x, name):
     if arr.size and (np.any(np.isnan(arr)) or arr.min() < 0.0 or arr.max() > 1.0):
         raise DomainError(f"{name} must lie in [0, 1]")
     return arr
+
+
+def _check_tol(tol, positive=False, name="tol"):
+    """Refuse a NaN or negative tolerance, and 0 where ``positive``."""
+    if not (tol > 0 if positive else tol >= 0):
+        raise DomainError(f"{name} must be {'positive' if positive else '>= 0'}, got {tol!r}")
 
 
 def _snap(t):
@@ -178,6 +184,8 @@ class Copula(abc.ABC):
         """
         if component not in (1, 2):
             raise DomainError(f"component must be 1 or 2, got {component!r}")
+        if side not in ("left", "right"):
+            raise DomainError(f"side must be 'left' or 'right', got {side!r}")
         return self._partial(component, _check_unit(u, "u"), _check_unit(v, "v"), side)
 
     def _partial(self, component, u, v, side):
@@ -191,8 +199,8 @@ class Copula(abc.ABC):
             raise DomainError(
                 f"malformed rectangle [{u1}, {u2}] x [{v1}, {v2}]"
             )
-        c = self.cdf
-        return float(c(u2, v2) - c(u2, v1) - c(u1, v2) + c(u1, v1))
+        c = self._cdf(np.array([[u1], [u2]], dtype=float), np.array([v1, v2], dtype=float))
+        return float(c[1, 1] - c[1, 0] - c[0, 1] + c[0, 0])
 
     def discretize(self, n):
         """Checkerboard approximation at resolution n (exact cell masses)."""
@@ -718,3 +726,34 @@ class IntervalFamily:
     @staticmethod
     def from_list(pairs):
         return IntervalFamily(tuple(pairs))
+
+
+class _Record:
+    """Base of the result records (verdicts and reports), frozen dataclasses
+    whose JSON form is their fields by name.
+
+    ``to_json`` maps each field to a JSON value: a tuple becomes a list
+    (recursively), an :class:`IntervalFamily` its ``to_list()``, a
+    :class:`Copula` its ``to_spec()``; numbers, strings, booleans and None
+    pass as they are.  Fields named in the class attribute ``_json_skip``
+    are left out.  The JSON writers sort keys, so field order is free.
+    """
+
+    _json_skip = ()
+
+    def to_json(self):
+        return {
+            f.name: _json_value(getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in self._json_skip
+        }
+
+
+def _json_value(x):
+    if isinstance(x, tuple):
+        return [_json_value(item) for item in x]
+    if isinstance(x, IntervalFamily):
+        return x.to_list()
+    if isinstance(x, Copula):
+        return x.to_spec()
+    return x

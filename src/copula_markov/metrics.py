@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Copula, DomainError, GridCopula, IndependenceCopula
+from .core import Copula, DomainError, GridCopula, IndependenceCopula, _Record
 
 __all__ = [
     "d_inf",
@@ -278,7 +278,7 @@ def _grid_diagonal_integral(g: GridCopula) -> float:
 
 
 @dataclass(frozen=True)
-class NqdVerdict:
+class NqdVerdict(_Record):
     """Outcome of the idempotent + negative-quadrant-dependence check."""
 
     nqd: bool
@@ -286,15 +286,6 @@ class NqdVerdict:
     d_inf_to_independence: float | None
     sobolev: float | None
     consistent: bool | None
-
-    def to_json(self):
-        return {
-            "nqd": self.nqd,
-            "max_excess_over_independence": self.max_excess_over_independence,
-            "d_inf_to_independence": self.d_inf_to_independence,
-            "sobolev": self.sobolev,
-            "consistent": self.consistent,
-        }
 
 
 def nqd_idempotent_check(c: Copula, tol=1e-9) -> NqdVerdict:

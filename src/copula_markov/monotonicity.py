@@ -25,6 +25,8 @@ from .core import (
     IndependenceCopula,
     StepFunction,
     UpperFrechetCopula,
+    _check_tol,
+    _Record,
     _running_sums,
 )
 from .operators import operator_of
@@ -45,7 +47,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MonotonicityVerdict:
+class MonotonicityVerdict(_Record):
     """SI/SD verdict for one component.
 
     ``max_violation`` and ``witness`` describe the worst breach of the SI
@@ -61,16 +63,6 @@ class MonotonicityVerdict:
     witness: Optional[tuple]
     method: str
 
-    def to_json(self):
-        return {
-            "si": self.si,
-            "sd": self.sd,
-            "component": self.component,
-            "max_violation": self.max_violation,
-            "witness": None if self.witness is None else list(self.witness),
-            "method": self.method,
-        }
-
 
 def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
     """SI/SD verdict for ``component`` (grids exact, closed forms certified).
@@ -82,8 +74,7 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
     """
     if component not in (1, 2):
         raise DomainError("component must be 1 or 2")
-    if tol < 0:
-        raise DomainError("tol must be >= 0")
+    _check_tol(tol)
     if isinstance(c, GridCopula):
         verdict = _check_si_grid(c.matrix if component == 1 else c.matrix.T, tol)
     else:
@@ -131,7 +122,7 @@ def _check_si_sections(c: Copula, tol, u_points, v_points):
 
 
 @dataclass(frozen=True)
-class DominanceVerdict:
+class DominanceVerdict(_Record):
     holds: bool
     gap: float
     witness: tuple
@@ -139,14 +130,6 @@ class DominanceVerdict:
 
     def __bool__(self):
         return self.holds
-
-    def to_json(self):
-        return {
-            "holds": self.holds,
-            "gap": self.gap,
-            "witness": list(self.witness),
-            "reversed": self.reversed,
-        }
 
 
 def check_dominance(d: Copula, c: Copula, tol=1e-9, reverse=False) -> DominanceVerdict:
@@ -158,6 +141,7 @@ def check_dominance(d: Copula, c: Copula, tol=1e-9, reverse=False) -> DominanceV
     ``reverse=True`` selects the opposite inequality C <= D * C + tol,
     the relevant direction for stochastically decreasing C.
     """
+    _check_tol(tol)
     product, c = _product_and_operand(d, c)
     lhs, rhs = (c, product) if reverse else (product, c)
     gap, witness = metrics.sup_gap(lhs, rhs, signed=True)
@@ -192,6 +176,7 @@ class QuadrantVerdict:
 def check_quadrant_dependence(c: Copula, tol=1e-9) -> QuadrantVerdict:
     """PQD iff C >= uv - tol on the audit mesh, NQD iff C <= uv + tol;
     both at once pins C to independence within tol."""
+    _check_tol(tol)
     pi = IndependenceCopula()
     above, _ = metrics.sup_gap(c, pi, signed=True)
     below, _ = metrics.sup_gap(pi, c, signed=True)
@@ -204,15 +189,12 @@ def check_quadrant_dependence(c: Copula, tol=1e-9) -> QuadrantVerdict:
 
 
 @dataclass(frozen=True)
-class CompleteDependenceVerdict:
+class CompleteDependenceVerdict(_Record):
     completely_dependent: bool
     gap: float
 
     def __bool__(self):
         return self.completely_dependent
-
-    def to_json(self):
-        return {"completely_dependent": self.completely_dependent, "gap": self.gap}
 
 
 def check_complete_dependence(c: Copula, tol=1e-9) -> CompleteDependenceVerdict:
@@ -225,6 +207,7 @@ def check_complete_dependence(c: Copula, tol=1e-9) -> CompleteDependenceVerdict:
     cell floor, which carries no information about C).  A closed-form
     product runs over the audit mesh of :func:`copula_markov.metrics.sup_gap`.
     """
+    _check_tol(tol)
     product = markov_product(transpose(c), c)
     upper = UpperFrechetCopula()
     if isinstance(product, GridCopula):
@@ -248,7 +231,7 @@ def operator_preserves_monotone(c: Copula, f: StepFunction, tol=1e-9) -> bool:
 
 
 @dataclass(frozen=True)
-class EmpiricalSIReport:
+class EmpiricalSIReport(_Record):
     """Binned conditional means of f(V) given U, with a CLT noise band."""
 
     bin_centers: tuple
@@ -258,17 +241,6 @@ class EmpiricalSIReport:
     significant_increases: int
     insufficient_samples: bool
     z: float
-
-    def to_json(self):
-        return {
-            "bin_centers": list(self.bin_centers),
-            "bin_counts": list(self.bin_counts),
-            "bin_means": list(self.bin_means),
-            "increases": [list(x) for x in self.increases],
-            "significant_increases": self.significant_increases,
-            "insufficient_samples": self.insufficient_samples,
-            "z": self.z,
-        }
 
 
 def _as_decreasing_function(f):

@@ -20,6 +20,7 @@ from .core import (
     GridCopula,
     IntervalFamily,
     StepFunction,
+    _check_tol,
     _trusted_carrier,
     _validate_doubly_stochastic,
 )
@@ -62,6 +63,7 @@ class DiscreteMarkovOperator:
         return DiscreteMarkovOperator._trusted(self.matrix @ other.matrix)
 
     def is_idempotent(self, tol=1e-12) -> bool:
+        _check_tol(tol)
         return bool(np.max(np.abs(self.matrix @ self.matrix - self.matrix)) <= tol)
 
 
@@ -101,37 +103,27 @@ def conditional_expectation_form(intervals, n: int) -> DiscreteMarkovOperator:
 def fixed_sigma_field(op: DiscreteMarkovOperator, tol=1e-9):
     """Generating partition of the sets fixed by an idempotent operator.
 
-    Cells are grouped by the connected components of the support graph of
-    the matrix; each component's indicator must be fixed by the operator
+    An idempotent doubly stochastic matrix is the block average over its
+    classes, so each row's support {a > tol} is its class, named by its
+    first cell.  Rows whose support differs from their first cell's row
+    are refused, and each class's indicator must be fixed by the operator
     within ``tol``.  Only unions of grid cells are searched, which is
     exhaustive for grid-exact operators.
     """
-    a = op.matrix
-    n = op.n
     if not op.is_idempotent(tol):
         raise DomainError(f"operator is not idempotent within {tol:g}")
-    adjacency = (a > tol) | (a.T > tol)
-    labels = np.full(n, -1)
-    parts = []
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = len(parts)
-        member = [start]
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(adjacency[i])[0]:
-                if labels[j] < 0:
-                    labels[j] = labels[start]
-                    stack.append(j)
-                    member.append(int(j))
-        parts.append(tuple(sorted(member)))
-    for part in parts:
-        indicator = np.zeros(n)
-        indicator[list(part)] = 1.0
-        if np.max(np.abs(a @ indicator - indicator)) > tol:
+    a = op.matrix
+    support = a > tol
+    first = support.argmax(axis=1)
+    if np.any(support != support[first]):
+        raise DomainError(f"row supports overlap without coinciding within {tol:g}")
+    heads = np.flatnonzero(first == np.arange(op.n))  # sorted by first cell
+    indicators = support[heads].T.astype(float)
+    drift = np.max(np.abs(a @ indicators - indicators), axis=0)
+    parts = [tuple(int(j) for j in np.flatnonzero(support[h])) for h in heads]
+    for part, gap in zip(parts, drift):
+        if gap > tol:
             raise DomainError(
                 f"component {part} is not fixed by the operator within {tol:g}"
             )
-    return sorted(parts)
+    return parts

@@ -16,15 +16,23 @@ from copula_markov import (
     TransposedCopula,
     UpperFrechetCopula,
     archimedean_copula,
+    check_complete_dependence,
+    check_dominance,
+    check_quadrant_dependence,
+    check_si,
     clayton_generator,
     extreme_value_copula,
+    fixed_sigma_field,
     gumbel_pickands,
+    is_idempotent,
+    iterate_to_limit,
     load_copula,
     operator_of,
     ordinal_sum,
     save_copula,
 )
 from copula_markov import core
+from copula_markov.cli import main
 
 from conftest import CHECKER3, random_doubly_stochastic
 
@@ -162,3 +170,73 @@ def test_save_refuses_an_operator_without_writing(tmp_path):
     path = tmp_path / "pi.json"
     save_copula(IndependenceCopula(), path)
     assert load_copula(path) == IndependenceCopula()
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_partial_derivative_refuses_an_unknown_side(name):
+    c = CARRIERS[name]()
+    for side in ("lft", "Left", None):
+        with pytest.raises(DomainError):
+            c.partial_derivative(1, 0.5, 0.5, side=side)
+    assert UpperFrechetCopula().partial_derivative(1, 0.5, 0.5, side="left") == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_h_volume_checks_its_rectangle_once(unit_checks, monkeypatch, name):
+    c = CARRIERS[name]()
+    rect = (0.2, 0.7, 0.1, 0.6)
+    u1, u2, v1, v2 = rect
+    expected = c.cdf(u2, v2) - c.cdf(u2, v1) - c.cdf(u1, v2) + c.cdf(u1, v1)
+    unit_checks.clear()
+    calls = []
+    kernel = type(c)._cdf
+
+    def counted(self, u, v):
+        calls.append((np.shape(u), np.shape(v)))
+        return kernel(self, u, v)
+
+    monkeypatch.setattr(type(c), "_cdf", counted)
+    assert c.h_volume(*rect) == pytest.approx(expected, abs=1e-15)
+    assert unit_checks == []
+    assert calls == [((2, 1), (2,))]
+
+
+def tolerance_entries():
+    g = GridCopula(CHECKER3)
+    op = operator_of(IndependenceCopula(), 3)
+    return {
+        "check_si": lambda tol: check_si(g, tol=tol),
+        "is_idempotent": lambda tol: is_idempotent(g, tol=tol),
+        "check_dominance": lambda tol: check_dominance(g, g, tol=tol),
+        "check_quadrant_dependence": lambda tol: check_quadrant_dependence(g, tol=tol),
+        "check_complete_dependence": lambda tol: check_complete_dependence(g, tol=tol),
+        "iterate_to_limit.tol": lambda tol: iterate_to_limit(g, tol=tol),
+        "iterate_to_limit.interval_tol": lambda tol: iterate_to_limit(g, interval_tol=tol),
+        "DiscreteMarkovOperator.is_idempotent": lambda tol: op.is_idempotent(tol=tol),
+        "fixed_sigma_field": lambda tol: fixed_sigma_field(op, tol=tol),
+    }
+
+
+POSITIVE_TOLERANCES = {"is_idempotent", "iterate_to_limit.tol", "iterate_to_limit.interval_tol"}
+
+
+@pytest.mark.parametrize("entry", sorted(tolerance_entries()))
+@pytest.mark.parametrize("bad", [np.nan, -1e-9])
+def test_every_tolerance_refuses_nan_and_negative_values(entry, bad):
+    call = tolerance_entries()[entry]
+    with pytest.raises(DomainError, match="tol"):
+        call(bad)
+    if entry in POSITIVE_TOLERANCES:
+        with pytest.raises(DomainError, match="positive"):
+            call(0.0)
+    else:
+        call(0.0)
+
+
+def test_cli_refuses_a_nan_tolerance(tmp_path, capsys):
+    spec = tmp_path / "m.json"
+    save_copula(UpperFrechetCopula(), spec)
+    assert main(["check", str(spec), "--property", "si1", "--tol", "nan"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "tol must be >= 0" in out.err

@@ -273,3 +273,60 @@ def test_tangent_identity_on_idempotent_si_grids():
                 lhs = (v - dvv) * g.partial_derivative(2, u, v, side="left")
                 rhs = g.cdf(u, v) - g.cdf(u, dvv)
                 assert abs(lhs - rhs) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# fixed sigma-fields against a support-graph search
+# ---------------------------------------------------------------------------
+
+
+def dfs_fixed_sigma_field(a, tol):
+    """Connected components of the support graph {a > tol} | {a.T > tol},
+    found by depth-first search; the reference for the row-support kernel."""
+    n = a.shape[0]
+    adjacency = (a > tol) | (a.T > tol)
+    labels = np.full(n, -1)
+    parts = []
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = len(parts)
+        stack, member = [start], [start]
+        while stack:
+            i = stack.pop()
+            for j in np.nonzero(adjacency[i])[0]:
+                if labels[j] < 0:
+                    labels[j] = labels[start]
+                    stack.append(j)
+                    member.append(int(j))
+        parts.append(tuple(sorted(member)))
+    return sorted(parts)
+
+
+def permuted_block_average(rng, n, classes):
+    labels = rng.permutation(np.arange(n) % classes)
+    same = labels[:, None] == labels[None, :]
+    return same / same.sum(axis=1, keepdims=True)
+
+
+def test_fixed_sigma_field_matches_the_support_graph_search(rng):
+    non_contiguous = 0
+    for n, classes in [(1, 1), (5, 5), (7, 3), (16, 4), (64, 7), (256, 7)]:
+        op = DiscreteMarkovOperator(permuted_block_average(rng, n, classes))
+        parts = fixed_sigma_field(op)
+        assert parts == dfs_fixed_sigma_field(op.matrix, 1e-9)
+        assert all(type(j) is int for part in parts for j in part)
+        non_contiguous += sum(part[-1] - part[0] + 1 != len(part) for part in parts)
+    assert non_contiguous > 0
+
+
+def test_fixed_sigma_field_refuses_overlapping_supports():
+    # rows 0 and 1 share cells 0 and 1, but row 1 also reaches cell 2; the
+    # square is within 0.125 of the matrix, so it passes the idempotency gate
+    # at tol 0.2, where the support graph joins all three cells in one part
+    a = np.array([[0.5, 0.5, 0.0], [0.5, 0.25, 0.25], [0.0, 0.25, 0.75]])
+    op = DiscreteMarkovOperator(a)
+    assert op.is_idempotent(tol=0.2)
+    assert dfs_fixed_sigma_field(a, 0.2) == [(0, 1, 2)]
+    with pytest.raises(DomainError, match="support"):
+        fixed_sigma_field(op, tol=0.2)
