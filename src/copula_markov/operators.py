@@ -106,15 +106,18 @@ def fixed_sigma_field(op: DiscreteMarkovOperator, tol=1e-9):
     An idempotent doubly stochastic matrix is the block average over its
     classes, so each row's support {a > tol} is its class, named by its
     first cell.  Rows whose support differs from their first cell's row
-    are refused, and each class's indicator must be fixed by the operator
-    within ``tol``.  Only unions of grid cells are searched, which is
-    exhaustive for grid-exact operators.
+    are refused, as are rows with no entry above ``tol``, and each
+    class's indicator must be fixed by the operator within ``tol``.  Only
+    unions of grid cells are searched, which is exhaustive for grid-exact
+    operators.
     """
     if not op.is_idempotent(tol):
         raise DomainError(f"operator is not idempotent within {tol:g}")
     a = op.matrix
     support = a > tol
     first = support.argmax(axis=1)
+    if not support[np.arange(op.n), first].all():
+        raise DomainError(f"a row has no entry above {tol:g}")
     if np.any(support != support[first]):
         raise DomainError(f"row supports overlap without coinciding within {tol:g}")
     heads = np.flatnonzero(first == np.arange(op.n))  # sorted by first cell

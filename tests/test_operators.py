@@ -330,3 +330,13 @@ def test_fixed_sigma_field_refuses_overlapping_supports():
     assert dfs_fixed_sigma_field(a, 0.2) == [(0, 1, 2)]
     with pytest.raises(DomainError, match="support"):
         fixed_sigma_field(op, tol=0.2)
+
+
+@pytest.mark.parametrize("intervals", [[(0, 1)], [(0, 0.75)]])
+def test_fixed_sigma_field_refuses_rows_without_support(intervals):
+    # at tol 0.2 no entry of a 6- or 8-cell averaging row exceeds tol, so
+    # such a row has no support and names no class
+    op = conditional_expectation_form(intervals, 8)
+    assert op.is_idempotent(tol=0.2)
+    with pytest.raises(DomainError, match="no entry above"):
+        fixed_sigma_field(op, tol=0.2)
