@@ -16,6 +16,7 @@ short-circuited exactly.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from math import lcm
 
@@ -288,6 +289,26 @@ class IterateReport(_Record):
     _json_skip = ("steps",)
 
 
+class _Slot:
+    """A one-item handoff between two threads: ``put`` fills it without
+    waiting, ``take`` waits until it is full and empties it.  Its two users
+    alternate, so it holds at most one item, except that a stop request may
+    replace a request the worker has not taken yet."""
+
+    def __init__(self):
+        self._full = threading.Semaphore(0)
+        self._item = None
+
+    def put(self, item):
+        self._item = item
+        self._full.release()
+
+    def take(self):
+        self._full.acquire()
+        item, self._item = self._item, None
+        return item
+
+
 def iterate_to_limit(
     c: Copula,
     tol=1e-8,
@@ -308,10 +329,9 @@ def iterate_to_limit(
     worker thread while this thread measures the current step's gaps
     (numpy's matmul releases the GIL).  Only the matmul runs there; the
     results are those of the serial loop, and a product computed past the
-    last step is discarded (an error it raises is not).
+    last step is discarded (an error it raises is not).  The worker is
+    joined before this returns or raises.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     from .monotonicity import check_si
 
     _check_tol(tol, positive=True)
@@ -323,16 +343,38 @@ def iterate_to_limit(
     if not verdict.si:
         raise NotStochasticallyIncreasingError(verdict)
 
+    # the worker takes a matrix m from ``requests`` and hands back base @ m
+    # through ``products``, or None after an error; None in ``requests``
+    # stops it
+    requests, products = _Slot(), _Slot()
+    failure = []
+
+    def multiply():
+        m = requests.take()
+        while m is not None:
+            try:
+                products.put(np.matmul(base.matrix, m))
+            except BaseException as exc:
+                failure.append(exc)
+                products.put(None)
+                return
+            m = requests.take()
+
     current = base
     steps = []
     worst_increase = 0.0
     converged = False
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        pending = worker.submit(np.matmul, base.matrix, base.matrix)
+    worker = threading.Thread(target=multiply, name="iterate_to_limit")
+    worker.start()
+    try:
+        requests.put(base.matrix)
         for step in range(1, max_iter + 1):
-            nxt = GridCopula._trusted(pending.result())
+            product = products.take()
+            if product is None:
+                break  # the worker's error is raised below
+            nxt = GridCopula._trusted(product)
             if step < max_iter:
-                pending = worker.submit(np.matmul, base.matrix, nxt.matrix)
+                requests.put(nxt.matrix)
             # the sup gap and the largest increase, from one corner difference
             hi, _, lo, _ = metrics._corner_extremes(nxt, current)
             sup_gap = max(abs(hi), abs(lo))
@@ -341,8 +383,14 @@ def iterate_to_limit(
             current = nxt
             if sup_gap < tol:
                 converged = True
+                if step < max_iter:
+                    products.take()  # a product past the last step is discarded, its error is not
                 break
-        pending.result()  # a product past the last step is discarded, its error is not
+    finally:
+        requests.put(None)
+        worker.join()
+    if failure:
+        raise failure[0]
 
     if converged:
         intervals = extract_pi_ordinal_structure(current, tol=interval_tol).intervals

@@ -73,6 +73,9 @@ class ArchimedeanGenerator:
     ``phi_inverse`` must satisfy phi(phi_inverse(x)) = x on (0, 1];
     ``phi_prime`` is the first derivative (None when unavailable, in which
     case derivative-based checks report themselves inconclusive).
+    ``quantile(u, w)`` is the exact inverse of t -> d1 C(u, t) of the
+    copula, for u and w in (0, 1) (None when unavailable, in which case the
+    conditional quantile bisects d1 C).
     """
 
     name: str
@@ -80,6 +83,7 @@ class ArchimedeanGenerator:
     phi_inverse: Callable
     phi_prime: Optional[Callable] = None
     theta: Optional[float] = None
+    quantile: Optional[Callable] = None
 
     def __post_init__(self):
         self._validate()
@@ -111,6 +115,7 @@ def independence_generator():
         phi=lambda t: np.exp(-np.asarray(t, dtype=float)),
         phi_inverse=lambda x: -np.log(np.asarray(x, dtype=float)),
         phi_prime=lambda t: -np.exp(-np.asarray(t, dtype=float)),
+        quantile=lambda u, w: np.array(w, dtype=float),
     )
 
 
@@ -119,12 +124,20 @@ def clayton_generator(theta):
     theta = float(theta)
     if theta <= 0:
         raise DomainError("Clayton requires theta > 0")
+
+    def quantile(u, w):
+        # (1 + u^-theta (w^(-theta/(1+theta)) - 1))^(-1/theta), with u^-theta
+        # taken out of the bracket, so that a small u does not overflow it
+        grow = np.expm1(-theta / (1.0 + theta) * np.log(w))
+        return u * np.power(np.power(u, theta) + grow, -1.0 / theta)
+
     return ArchimedeanGenerator(
         name="clayton",
         theta=theta,
         phi=lambda t: np.power(1.0 + theta * np.asarray(t, dtype=float), -1.0 / theta),
         phi_inverse=lambda x: (np.power(np.asarray(x, dtype=float), -theta) - 1.0) / theta,
         phi_prime=lambda t: -np.power(1.0 + theta * np.asarray(t, dtype=float), -1.0 / theta - 1.0),
+        quantile=quantile,
     )
 
 
@@ -152,24 +165,60 @@ def frank_generator(theta):
 
     theta < 0 gives a negatively dependent copula whose log(-phi') is
     strictly concave, a handy counterexample for the SI criterion.
+
+    For theta > 0, 1 - (1 - e^-theta) e^-t cancels near t = 0, where phi
+    falls from 1 within t of the order of e^-theta; there it is taken as
+    e^(-t-theta) - expm1(-t), and phi_inverse likewise avoids rounding its
+    ratio to 1.  theta < 0 keeps the plain expressions.
     """
     theta = float(theta)
     if theta == 0:
         raise DomainError("Frank requires theta != 0 (the limit is independence)")
     c = -np.expm1(-theta)  # 1 - e^-theta, sign(theta)
 
+    def gap(t, e):
+        """1 - c e^-t for theta > 0, with e = e^-t."""
+        return np.where(c * e > 0.5, np.exp(-t - theta) - np.expm1(-t), 1.0 - c * e)
+
     def phi(t):
-        return -np.log1p(-c * np.exp(-np.asarray(t, dtype=float))) / theta
+        t = np.asarray(t, dtype=float)
+        if theta < 0:
+            return -np.log1p(-c * np.exp(-t)) / theta
+        e = np.exp(-t)
+        near = c * e > 0.5
+        # the placeholder 1/2 keeps log1p off -1 where the other branch applies
+        far = np.log1p(-np.where(near, 0.5, c * e))
+        return -np.where(near, np.log(gap(t, e)), far) / theta
 
     def phi_inverse(x):
         x = np.asarray(x, dtype=float)
-        return -np.log(np.expm1(-theta * x) / np.expm1(-theta))
+        if theta < 0:
+            return -np.log(np.expm1(-theta * x) / np.expm1(-theta))
+        # where the ratio is near 1, take 1 - ratio = e^(-theta x) expm1(-theta
+        # (1 - x)) / expm1(-theta); the placeholder x = 1 elsewhere keeps
+        # log1p off -1
+        ratio = np.expm1(-theta * x) / np.expm1(-theta)
+        near = ratio > 0.5
+        xs = np.where(near, x, 1.0)
+        short = -np.log1p(-np.exp(-theta * xs) * np.expm1(-theta * (1.0 - xs)) / np.expm1(-theta))
+        return np.where(near, short, -np.log(ratio))
 
     def phi_prime(t):
-        e = np.exp(-np.asarray(t, dtype=float))
-        return -(c / theta) * e / (1.0 - c * e)
+        t = np.asarray(t, dtype=float)
+        e = np.exp(-t)
+        if theta < 0:
+            return -(c / theta) * e / (1.0 - c * e)
+        return -(c / theta) * e / gap(t, e)
 
-    return ArchimedeanGenerator("frank", phi, phi_inverse, phi_prime, theta)
+    def quantile(u, w):
+        if theta < 0:
+            return -np.log1p(w * np.expm1(-theta) / (w + (1.0 - w) * np.exp(-theta * u))) / theta
+        # the same inverse, its terms kept positive: 1 + w expm1(-theta) / (w +
+        # (1 - w) e^(-theta u)) cancels where theta > 0 and v is near 1
+        rest = (1.0 - w) * np.exp(-theta * u) + w * np.exp(-theta)
+        return np.log1p(w * c / rest) / theta
+
+    return ArchimedeanGenerator("frank", phi, phi_inverse, phi_prime, theta, quantile)
 
 
 def tabulated_generator(t_values, phi_values, name="tabulated"):
@@ -314,6 +363,22 @@ class ArchimedeanCopula(Copula):
             if np.any(interior):
                 out[interior] = np.asarray(g.phi_prime(s[interior])) / slope_u[interior]
         return out if out.shape else float(out)
+
+    def _quantile(self, u, w):
+        """The generator's closed-form inverse of t -> d1 C(u, t) where u and
+        w lie in (0, 1), clipped to [0, 1] against rounding; the bisection
+        on the edges and for generators without one."""
+        kernel = self.generator.quantile
+        if kernel is None:
+            return super()._quantile(u, w)
+        u, w = np.broadcast_arrays(u, w)
+        inner = (u > 0.0) & (u < 1.0) & (w > 0.0) & (w < 1.0)
+        out = np.empty(u.shape)
+        out[inner] = kernel(u[inner], w[inner])
+        edge = ~inner
+        if edge.any():
+            out[edge] = super()._quantile(u[edge], w[edge])
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def to_spec(self):
         return {

@@ -167,12 +167,20 @@ def _d1_grids(g1: GridCopula, g2: GridCopula) -> float:
     return float((trapezoid - crossing) / n**2)
 
 
-def _slice_knots(c1, c2, u):
+def _fixed_knots(c1, c2):
+    """0, 1 and both operands' v-knots: the knots every slice shares."""
     pts = {0.0, 1.0}
-    pts.update(float(x) for x in c1.conditional_knots(u))
-    pts.update(float(x) for x in c2.conditional_knots(u))
     pts.update(float(x) for x in c1.knots_v())
     pts.update(float(x) for x in c2.knots_v())
+    return pts
+
+
+def _slice_knots(c1, c2, u, fixed=None):
+    """The t-knots of the slice at u: ``fixed`` (by default
+    :func:`_fixed_knots`) and both operands' conditional knots at u."""
+    pts = set(_fixed_knots(c1, c2) if fixed is None else fixed)
+    pts.update(float(x) for x in c1.conditional_knots(u))
+    pts.update(float(x) for x in c2.conditional_knots(u))
     return np.array(sorted(p for p in pts if 0.0 <= p <= 1.0))
 
 
@@ -182,47 +190,57 @@ def _d1_slices(c1, c2):
     u_edges.update(float(x) for x in c2.knots_u())
     u_edges = np.array(sorted(u_edges))
     cells = np.linspace(0.0, 1.0, _D1_T_CELLS + 1)
+    fixed = _fixed_knots(c1, c2)
     total = 0.0
     for a, b in zip(u_edges[:-1], u_edges[1:]):
         panels = np.linspace(a, b, _D1_U_PANELS + 1)
         for p0, p1 in zip(panels[:-1], panels[1:]):
             mid = 0.5 * (p0 + p1)
             half = 0.5 * (p1 - p0)
-            vals = _panel_slices(c1, c2, mid + half * _GL_NODES, cells)
+            vals = _panel_slices(c1, c2, mid + half * _GL_NODES, cells, fixed)
             total += half * float(np.dot(_GL_WEIGHTS, vals))
     return total
 
 
-def _panel_slices(c1, c2, us, cells):
+def _panel_slices(c1, c2, us, cells, fixed):
     """The t-integrals of |d1 C1(u, t) - d1 C2(u, t)| at the u-nodes of one
     panel, from one derivative call per operand.
 
     Each slice integrates by the midpoint rule over the cells joined with
-    its own knots.  Slices without knots share the cells, so the call takes
-    a column of u against one row of t; otherwise the slices' t-midpoints
-    are concatenated, each beside its own u.
+    its own knots (``fixed`` and the conditional ones).  When no slice adds
+    a knot to the cells, the call takes a column of u against one row of
+    t.  Otherwise the slices' knots go into one tiled copy of the cells by
+    a single insertion, and the call takes its midpoints, each beside its
+    slice's u; the midpoint between two slices is evaluated and skipped.
     """
-    edges = []
-    for u in us:
-        knots = _slice_knots(c1, c2, u)
-        # knots 0 and 1 alone add nothing to the cells
-        edges.append(cells if knots.size == 2 else np.union1d(cells, knots))
-    if all(e is cells for e in edges):
-        u, t = us[:, None], 0.5 * (cells[:-1] + cells[1:])
-    else:
-        u = np.repeat(us, [e.size - 1 for e in edges])
-        t = np.concatenate([0.5 * (e[:-1] + e[1:]) for e in edges])
-    gap = np.abs(
-        np.asarray(c1.partial_derivative(1, u, t))
-        - np.asarray(c2.partial_derivative(1, u, t))
-    ).ravel()
-    rows = np.split(gap, np.cumsum([e.size - 1 for e in edges[:-1]]))
-    cell_widths = np.diff(cells)
-    # one dot per slice, as a slice-by-slice evaluation sums it
+    n, m = cells.size, us.size
+    knots = [_slice_knots(c1, c2, u, fixed) for u in us]
+    owner = np.repeat(np.arange(m), [k.size for k in knots])
+    knots = np.concatenate(knots)
+    # knots <= 1 = cells[-1], so each has a cell at or above it; those that
+    # are cells already (0 and 1 always) add nothing
+    at = np.searchsorted(cells, knots)
+    new = cells[at] != knots
+    if not new.any():
+        widths = np.diff(cells)
+        gap = _derivative_gap(c1, c2, us[:, None], 0.5 * (cells[:-1] + cells[1:]))
+        # one dot per slice, as a slice-by-slice evaluation sums it
+        return [float(row @ widths) for row in gap]
+    edges = n + np.bincount(owner[new], minlength=m)
+    flat = np.insert(np.tile(cells, m), at[new] + n * owner[new], knots[new])
+    gap = _derivative_gap(c1, c2, np.repeat(us, edges)[:-1], 0.5 * (flat[:-1] + flat[1:]))
+    widths = flat[1:] - flat[:-1]
+    starts = np.cumsum(edges) - edges
     return [
-        float(row @ (cell_widths if e is cells else np.diff(e)))
-        for row, e in zip(rows, edges)
+        float(gap[a : a + k - 1] @ widths[a : a + k - 1]) for a, k in zip(starts, edges)
     ]
+
+
+def _derivative_gap(c1, c2, u, t):
+    """|d1 C1(u, t) - d1 C2(u, t)|, one derivative call per operand."""
+    return np.abs(
+        np.asarray(c1.partial_derivative(1, u, t)) - np.asarray(c2.partial_derivative(1, u, t))
+    )
 
 
 def d1_midpoint(c1: Copula, c2: Copula, panels=512) -> float:

@@ -266,12 +266,13 @@ def empirical_si_check(
 ) -> EmpiricalSIReport:
     """Monte-Carlo check that E(f(V) | U in bin) is decreasing across bins.
 
-    Adjacent-bin increases are reported with a z * standard-error band;
+    Adjacent-bin increases are reported with a z * standard-error band (z > 0);
     for an SI copula and decreasing f no increase should clear the band.
     Bins with fewer than 50 samples flag the report as insufficient.
     """
     if samples < 1 or bins < 2:
         raise DomainError("need samples >= 1 and bins >= 2")
+    _check_tol(z, positive=True, name="z")
     func = _as_decreasing_function(f)
     pairs = c.sample(samples, seed)
     u, v = pairs[:, 0], pairs[:, 1]

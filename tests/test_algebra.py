@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import threading
 from functools import cached_property
 
@@ -552,6 +555,31 @@ def test_iterate_pipeline_matches_the_serial_loop(n, planted, max_iter):
         assert not report.converged and report.n_steps == 3
 
 
+def test_iterate_handoff_under_fast_thread_switching():
+    # four callers (more than the cores here), each with its own worker,
+    # switching threads every microsecond: a lost or doubled handoff would
+    # change a step row or hang a join
+    bases = [si_grid(16, planted) for planted in (False, True)] * 2
+    expected = [serial_iterate(b, 1e-8, 200)[1] for b in bases]
+    results = [None] * len(bases)
+
+    def run(i):
+        results[i] = iterate_to_limit(bases[i], tol=1e-8).steps
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(bases))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+
+
 def test_iterate_leaves_no_thread_behind(checker3, monkeypatch):
     before = threading.active_count()
     assert iterate_to_limit(checker3).converged
@@ -723,3 +751,18 @@ def test_extract_structure_flags_non_monotone_idempotents():
     assert is_idempotent(scattered, tol=1e-12).idempotent
     with pytest.raises(DecompositionError):
         extract_pi_ordinal_structure(scattered)
+
+
+def test_iterate_does_not_load_the_thread_pool():
+    # one thread and a one-slot handoff carry the pipelined products
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    probe = (
+        "import sys, numpy as np; from copula_markov import GridCopula, iterate_to_limit; "
+        "assert iterate_to_limit(GridCopula(np.full((4, 4), 0.25))).converged; "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"

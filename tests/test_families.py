@@ -1,7 +1,10 @@
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copula_markov import (
     ArchimedeanGenerator,
@@ -23,7 +26,7 @@ from copula_markov import (
     ordinal_sum,
     tabulated_generator,
 )
-from copula_markov.core import _fd_partial
+from copula_markov.core import Copula, _fd_partial
 # ---------------------------------------------------------------------------
 # Archimedean copulas
 # ---------------------------------------------------------------------------
@@ -183,6 +186,121 @@ def test_archimedean_per_axis_evaluation_matches_the_broadcast_path(gen, rng):
             if np.ndim(u) == 0 and np.ndim(v) == 0:
                 assert isinstance(cop.cdf(u, v), float)
                 assert isinstance(cop.partial_derivative(1, u, v), float)
+
+
+def stable_frank_cdf(theta, u, v):
+    """Frank cdf for theta > 0 as -(log N - log1p(-e^-theta)) / theta, where
+    N = -e^(-theta u) expm1(-theta v) - e^(-theta v) expm1(-theta (1 - v))
+    sums two nonnegative terms: the reference for strong dependence."""
+    n = -np.exp(-theta * u) * np.expm1(-theta * v) - np.exp(-theta * v) * np.expm1(
+        -theta * (1.0 - v)
+    )
+    return -(np.log(n) - np.log1p(-np.exp(-theta))) / theta
+
+
+@pytest.mark.parametrize("theta", [15.0, 25.0, 40.0, 100.0])
+def test_frank_strong_positive_dependence_builds_and_keeps_its_cdf(theta):
+    grid = np.array([1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cop = archimedean_copula(frank_generator(theta))
+        values = cop.cdf(grid[:, None], grid[None, :])
+    expected = stable_frank_cdf(theta, grid[:, None], grid[None, :])
+    assert np.max(np.abs(values - expected)) <= 1e-12
+    assert is_si_archimedean(cop.generator)
+
+
+@pytest.mark.parametrize("theta", [-3.0, -0.5])
+def test_frank_negative_theta_keeps_its_plain_expressions(theta):
+    gen = frank_generator(theta)
+    t = np.linspace(0.0, 5.0, 101)
+    x = np.linspace(1e-6, 1.0, 101)
+    c = -np.expm1(-theta)
+    e = np.exp(-t)
+    assert np.array_equal(gen.phi(t), -np.log1p(-c * np.exp(-t)) / theta)
+    assert np.array_equal(gen.phi_prime(t), -(c / theta) * e / (1.0 - c * e))
+    assert np.array_equal(
+        gen.phi_inverse(x), -np.log(np.expm1(-theta * x) / np.expm1(-theta))
+    )
+
+
+# ---------------------------------------------------------------------------
+# closed-form conditional quantiles
+# ---------------------------------------------------------------------------
+
+
+def exact_quantile(family, theta, u, w):
+    """Inverse of t -> d1 C(u, t) in decimal arithmetic, with 50 digits
+    beyond the two that e^-theta - 1 and log(1 + ratio) cancel for small
+    theta."""
+    theta, u, w = Decimal(theta), Decimal(u), Decimal(w)
+    with localcontext() as ctx:
+        ctx.prec = 50 + 2 * max(0, -theta.adjusted())
+        if family == "clayton":
+            inner = 1 + u ** -theta * (w ** (-theta / (1 + theta)) - 1)
+            return float(inner ** (-1 / theta))
+        ratio = w * ((-theta).exp() - 1) / (w + (1 - w) * (-theta * u).exp())
+        return float(-(1 + ratio).ln() / theta)
+
+
+INNER = st.floats(1e-6, 1.0 - 1e-6)
+QUANTILE_CASES = st.one_of(
+    st.tuples(st.just("clayton"), st.floats(0.1, 20.0)),
+    st.tuples(
+        st.just("frank"),
+        st.floats(-10.0, 10.0, allow_subnormal=False).filter(lambda t: t != 0.0),
+    ),
+)
+GENERATORS = {"clayton": clayton_generator, "frank": frank_generator}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=QUANTILE_CASES, u=INNER, w=INNER)
+def test_archimedean_quantile_kernel_inverts_the_conditional_law(case, u, w):
+    family, theta = case
+    cop = archimedean_copula(GENERATORS[family](theta))
+    q = float(cop.conditional_quantile(u, w))
+    exact = exact_quantile(family, theta, u, w)
+    assert abs(q - exact) <= 1e-13
+    assert abs(cop.partial_derivative(1, u, q) - w) <= 1e-11
+    # the bisection's answer can be no closer than ~1e-16 / density, up to
+    # 2e-11 off where the conditional law is nearly flat (Clayton(1) at
+    # u = 3.4e-6, w = 1 - 1.9e-6, say); past 1e-12 the gap is its own error
+    bisected = float(Copula._quantile(cop, np.asarray(u), np.asarray(w)))
+    assert abs(q - bisected) <= 1e-12 + abs(bisected - exact)
+
+
+@pytest.mark.parametrize(
+    "gen", [clayton_generator(2.0), frank_generator(-3.0), frank_generator(4.0)],
+    ids=lambda gen: f"{gen.name}-{gen.theta}",
+)
+def test_archimedean_quantile_edges_bisect_without_a_warning(gen):
+    cop = archimedean_copula(gen)
+    u = np.array([0.0, 1.0, 0.0, 1.0, 0.3, 0.3, 0.0, 0.3])
+    w = np.array([0.4, 0.4, 0.0, 1.0, 0.0, 1.0, 1e-300, 1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = cop.conditional_quantile(u, w)
+        # the first seven points lie on an edge: the bisection alone solves them
+        edge = slice(0, 7)
+        bisected = Copula._quantile(cop, u[edge], w[edge])
+        assert np.array_equal(q[edge], bisected)
+        # w = 1e-300, the floor of Copula.sample, is inner: the kernel's
+        # quantile reaches down to it
+        assert 0.0 < q[-1] < 1e-100
+        assert abs(cop.partial_derivative(1, 0.3, q[-1]) - 1e-300) <= 1e-310
+
+
+def test_independence_generator_quantile_is_w(rng):
+    cop = archimedean_copula(independence_generator())
+    u, w = rng.random(50), rng.random(50)
+    assert np.array_equal(cop.conditional_quantile(u, w), w)
+
+
+def test_archimedean_quantile_without_a_kernel_bisects(rng):
+    cop = archimedean_copula(gumbel_generator(2.0))
+    u, w = rng.random(20), rng.random(20)
+    assert np.array_equal(cop.conditional_quantile(u, w), Copula._quantile(cop, u, w))
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,21 @@ def test_d1_panel_batches_equal_the_per_slice_rule(pi, upper):
         assert _d1_slices(c1, c2) == per_slice_d1(c1, c2)
 
 
+def test_d1_slices_read_the_v_knots_once_per_call(monkeypatch, pi):
+    calls = []
+    knots_v = GridCopula.knots_v
+
+    def counted(self):
+        calls.append(1)
+        return knots_v(self)
+
+    monkeypatch.setattr(GridCopula, "knots_v", counted)
+    # once for the knots all slices share, and once per slice as the grid's
+    # conditional knots; 3 u-cells of 24 panels of 12 slices
+    _d1_slices(GridCopula(CHECKER3), pi)
+    assert len(calls) == 1 + 3 * _D1_U_PANELS * _GL_NODES.size
+
+
 def test_d1_closed_form_makes_one_derivative_call_per_operand_per_panel(monkeypatch):
     calls = []
     derivative = Copula.partial_derivative

@@ -394,3 +394,20 @@ def test_empirical_accepts_tables_and_flags_small_bins(pi):
 def test_empirical_rejects_increasing_function(pi):
     with pytest.raises(DomainError):
         empirical_si_check(pi, lambda t: t, samples=1000, seed=9)
+
+
+def test_empirical_clayton_is_si_and_frank_negative_is_sd():
+    # 100k closed-form samples: the paper's Monte-Carlo reading of SI
+    clayton = archimedean_copula(clayton_generator(2.0))
+    report = empirical_si_check(clayton, lambda t: 1.0 - t, samples=100_000, seed=10)
+    assert not report.insufficient_samples
+    assert report.significant_increases == 0
+    frank = archimedean_copula(frank_generator(-3.0))
+    report = empirical_si_check(frank, lambda t: 1.0 - t, samples=100_000, seed=11)
+    assert report.significant_increases >= 1
+
+
+@pytest.mark.parametrize("z", [float("nan"), 0.0, -1.0])
+def test_empirical_refuses_a_band_that_is_not_positive(pi, z):
+    with pytest.raises(DomainError, match="z must be positive"):
+        empirical_si_check(pi, lambda t: 1.0 - t, samples=1000, seed=12, z=z)
