@@ -98,16 +98,17 @@ def cell_index(n, x, side="right"):
 
 
 def _validate_doubly_stochastic(matrix, tol=MATRIX_TOL, what="matrix"):
-    # one private copy, clipped in place; a NaN or an infinity shows up in
-    # the min or in a line sum, so isfinite runs only to name a failure
-    a = np.array(matrix, dtype=float, order="C")
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise InvariantError(f"{what} must be square and non-empty, got shape {a.shape}")
-    low = a.min()
+    # one private copy, made by the clip (np.maximum maps -0.0 to +0.0); a
+    # NaN or an infinity shows up in the min or in a line sum, so isfinite
+    # runs only to name a failure
+    x = np.asarray(matrix, dtype=float)
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] < 1:
+        raise InvariantError(f"{what} must be square and non-empty, got shape {x.shape}")
+    low = x.min()
     if not low >= -tol:
-        _refuse_non_finite(a, what)
+        _refuse_non_finite(x, what)
         raise InvariantError(f"{what} has a negative entry ({low:g})")
-    np.clip(a, 0.0, None, out=a)
+    a = np.maximum(x, 0.0, order="C")
     row_gap = np.max(np.abs(a.sum(axis=1) - 1.0))
     col_gap = np.max(np.abs(a.sum(axis=0) - 1.0))
     if not (row_gap <= tol and col_gap <= tol):
@@ -232,8 +233,9 @@ class Copula(abc.ABC):
         """Bisection of the right-hand conditional law, 60 halvings of
         [0, 1]: the fallback for carriers without an exact inverse (grids,
         Pi, M, W and the Clayton, Frank and independence generators have
-        one).  Where d1 C(u, .) is nearly flat, its rounding limits the
-        result to about 1e-16 over the conditional density."""
+        one).  w = 0 gives 0 exactly.  Where d1 C(u, .) is nearly flat, its
+        rounding limits the result to about 1e-16 over the conditional
+        density."""
         shape = np.broadcast_shapes(u.shape, w.shape)
         lo = np.zeros(shape)
         hi = np.ones(shape)
@@ -242,7 +244,7 @@ class Copula(abc.ABC):
             above = self._partial(1, u, mid, "right") >= w
             hi = np.where(above, mid, hi)
             lo = np.where(above, lo, mid)
-        return hi
+        return np.where(w == 0.0, 0.0, hi)  # inf{t : d1 C(u, t) >= 0} = 0
 
     def sample(self, count, seed):
         """``count`` i.i.d. pairs, deterministic for a given ``seed``."""

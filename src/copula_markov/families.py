@@ -60,6 +60,18 @@ _GENERATOR_AUDIT_POINTS = 257
 _INVERT_TOL = 1e-12
 _INVERT_MAX_DOUBLINGS = 400
 
+# largest |theta| for Frank: e^-|theta| stays a normal double up to it
+_FRANK_MAX_THETA = -float(np.log(np.finfo(float).tiny))  # 708.39...
+
+
+def _parameter(theta, family, bound=np.inf):
+    """theta as a float, refused if it is NaN, infinite or beyond +-bound."""
+    theta = float(theta)
+    if not (np.isfinite(theta) and abs(theta) <= bound):
+        within = f" with |theta| <= {bound:.6g}" if np.isfinite(bound) else ""
+        raise DomainError(f"{family} requires a finite theta{within}, got {theta!r}")
+    return theta
+
 
 # ---------------------------------------------------------------------------
 # Archimedean generators
@@ -121,7 +133,7 @@ def independence_generator():
 
 def clayton_generator(theta):
     """phi(t) = (1 + theta t)^(-1/theta), theta > 0."""
-    theta = float(theta)
+    theta = _parameter(theta, "Clayton")
     if theta <= 0:
         raise DomainError("Clayton requires theta > 0")
 
@@ -143,7 +155,7 @@ def clayton_generator(theta):
 
 def gumbel_generator(theta):
     """phi(t) = exp(-t^(1/theta)), theta >= 1."""
-    theta = float(theta)
+    theta = _parameter(theta, "Gumbel")
     if theta < 1:
         raise DomainError("Gumbel requires theta >= 1")
 
@@ -169,9 +181,10 @@ def frank_generator(theta):
     For theta > 0, 1 - (1 - e^-theta) e^-t cancels near t = 0, where phi
     falls from 1 within t of the order of e^-theta; there it is taken as
     e^(-t-theta) - expm1(-t), and phi_inverse likewise avoids rounding its
-    ratio to 1.  theta < 0 keeps the plain expressions.
+    ratio to 1.  theta < 0 keeps the plain expressions.  |theta| is at
+    most 708.39..., where e^-|theta| is still a normal double.
     """
-    theta = float(theta)
+    theta = _parameter(theta, "Frank", _FRANK_MAX_THETA)
     if theta == 0:
         raise DomainError("Frank requires theta != 0 (the limit is independence)")
     c = -np.expm1(-theta)  # 1 - e^-theta, sign(theta)
@@ -478,7 +491,7 @@ def comonotone_pickands():
 
 def gumbel_pickands(theta):
     """A(t) = (t^theta + (1-t)^theta)^(1/theta), theta >= 1."""
-    theta = float(theta)
+    theta = _parameter(theta, "Gumbel Pickands")
     if theta < 1:
         raise DomainError("Gumbel Pickands requires theta >= 1")
 

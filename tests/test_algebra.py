@@ -2,10 +2,15 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
+from contextlib import contextmanager, nullcontext
 from functools import cached_property
+from math import gcd, lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copula_markov import (
     DecompositionError,
@@ -36,8 +41,8 @@ from copula_markov import (
     si_sd_involution,
     transpose,
 )
-from copula_markov import core, d_inf, metrics
-from copula_markov.serialize import copula_from_spec
+from copula_markov import algebra, core, d_inf, metrics
+from copula_markov.serialize import copula_from_spec, load_copula, save_copula
 
 from conftest import CHECKER3, count_validations, random_doubly_stochastic
 
@@ -132,6 +137,178 @@ def test_product_associative_on_random_triples(rng):
             left = markov_product(markov_product(a, b), c).matrix
             right = markov_product(a, markov_product(b, c)).matrix
             assert np.max(np.abs(left - right)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the grid-product kernel: mixed resolutions and small supports
+# ---------------------------------------------------------------------------
+
+
+def _refined_reference(a, b):
+    """The product at L = lcm(p, q) of both operands refined to L."""
+    n = lcm(a.shape[0], b.shape[0])
+    r, s = n // a.shape[0], n // b.shape[0]
+    return np.kron(a, np.full((r, r), 1.0 / r)) @ np.kron(b, np.full((s, s), 1.0 / s))
+
+
+def _operand(kind, n, rng):
+    if kind == "full":
+        return GridCopula.renormalized(rng.random((n, n)) + 0.05).matrix
+    if kind == "mixture":
+        return random_doubly_stochastic(rng, n, n_perms=int(rng.integers(1, 4)))
+    if kind == "blocks":
+        cuts = np.unique(np.concatenate([[0, n], rng.integers(0, n + 1, size=3)]))
+        a = np.zeros((n, n))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            a[lo:hi, lo:hi] = 1.0 / (hi - lo)
+        return a
+    return np.eye(n)[rng.permutation(n)]
+
+
+@st.composite
+def resolution_pairs(draw):
+    p = draw(st.integers(1, 24))
+    relation = draw(st.sampled_from(["equal", "divisible", "coprime", "any"]))
+    if relation == "equal":
+        q = p
+    elif relation == "divisible":
+        q = p * draw(st.integers(1, 24 // p))
+    elif relation == "coprime":
+        q = draw(st.integers(1, 24).filter(lambda q: gcd(p, q) == 1))
+    else:
+        q = draw(st.integers(1, 24))
+    return (q, p) if draw(st.booleans()) else (p, q)
+
+
+OPERANDS = st.sampled_from(["full", "mixture", "blocks", "permutation"])
+
+
+@contextmanager
+def support_path_forced():
+    """Send every product with an inner size above 1 down the support path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_SUPPORT_MARGIN", 1)
+        mp.setattr(algebra, "_PAIR_WEIGHT", 0)
+        yield
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=resolution_pairs(),
+    kinds=st.tuples(OPERANDS, OPERANDS),
+    forced=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_product_matches_the_refined_product(sizes, kinds, forced, seed):
+    rng = np.random.default_rng(seed)
+    a = _operand(kinds[0], sizes[0], rng)
+    b = _operand(kinds[1], sizes[1], rng)
+    with support_path_forced() if forced else nullcontext():
+        result = markov_product(GridCopula(a), GridCopula(b)).matrix
+    reference = _refined_reference(a, b)
+    assert result.shape == reference.shape == (lcm(*sizes),) * 2
+    assert np.max(np.abs(result - reference)) <= 1e-15
+    assert not result.flags.writeable
+    assert np.max(np.abs(result.sum(axis=0) - 1.0)) <= 1e-12
+    assert np.max(np.abs(result.sum(axis=1) - 1.0)) <= 1e-12
+    if sizes[0] == sizes[1] and not forced:
+        # below the support path's sizes the product is BLAS's, bit for bit
+        assert result.tobytes() == (a @ b).tobytes()
+    if kinds == ("permutation", "permutation") and sizes[0] == sizes[1]:
+        assert np.array_equal(result, a @ b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 24), seed=st.integers(0, 2**32 - 1))
+def test_support_path_multiplies_permutations_exactly(n, seed):
+    rng = np.random.default_rng(seed)
+    p, q = _operand("permutation", n, rng), _operand("permutation", n, rng)
+    mixture = random_doubly_stochastic(rng, n, n_perms=3)
+    with support_path_forced():
+        assert markov_product(GridCopula(p), GridCopula(q)).matrix.tobytes() == (p @ q).tobytes()
+        # a permutation factor moves entries without adding any
+        moved = markov_product(GridCopula(p), GridCopula(mixture)).matrix
+        assert moved.tobytes() == mixture[np.argmax(p, axis=1)].tobytes()
+
+
+def _count_support_products(monkeypatch):
+    calls = []
+    bincount = np.bincount
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("minlength"))
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    return calls
+
+
+def test_large_permutation_products_take_the_support_path_exactly(rng, monkeypatch, upper, lower):
+    n = 1024
+    calls = _count_support_products(monkeypatch)
+    square = markov_product(lower, lower, resolution=n)
+    assert calls == [n * n]
+    assert square.matrix.tobytes() == upper.discretize(n).matrix.tobytes()
+    g = GridCopula(random_doubly_stochastic(rng, n, n_perms=12))
+    twice = si_sd_involution(si_sd_involution(g))
+    assert twice.matrix.tobytes() == g.matrix.tobytes()
+    assert len(calls) == 3
+
+
+def test_large_sparse_product_is_blas_within_ulps(rng, monkeypatch):
+    a = random_doubly_stochastic(rng, 1024, n_perms=12)
+    b = random_doubly_stochastic(rng, 1024, n_perms=12)
+    calls = _count_support_products(monkeypatch)
+    result = markov_product(GridCopula(a), GridCopula(b)).matrix
+    assert len(calls) == 1
+    assert np.max(np.abs(result - a @ b)) <= 1e-16
+
+
+def test_large_dense_products_stay_on_blas(rng, monkeypatch):
+    full = GridCopula.renormalized(rng.random((600, 600)) + 0.05)
+    blocks = GridCopula(_operand("blocks", 600, rng))
+    calls = _count_support_products(monkeypatch)
+    for a, b in ((full, full), (blocks, blocks)):
+        assert markov_product(a, b).matrix.tobytes() == (a.matrix @ b.matrix).tobytes()
+    assert calls == []
+
+
+def test_mixed_resolution_product_is_capped_before_allocating(rng):
+    a = GridCopula(random_doubly_stochastic(rng, 23))
+    b = GridCopula(random_doubly_stochastic(rng, 24))
+    result_bytes = (23 * 24) ** 2 * 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResolutionCapError):
+            markov_product(a, b, cap=23 * 24 - 1)
+        refused_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        markov_product(a, b, cap=23 * 24)
+        built_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refused_peak < result_bytes / 20 < result_bytes <= built_peak
+
+
+def test_cli_product_of_sparse_grids_does_not_load_scipy(rng, tmp_path):
+    # the support path is numpy only, so a product keeps the CLI's start-up
+    specs = []
+    for name in ("a.json", "b.json"):
+        specs.append(str(tmp_path / name))
+        save_copula(GridCopula(random_doubly_stochastic(rng, 512, n_perms=3)), specs[-1])
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    argv = ["product", *specs, "-o", str(tmp_path / "ab.json")]
+    probe = (
+        "import sys; from copula_markov.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stderr == "0 []\n"
+    assert load_copula(str(tmp_path / "ab.json")).n == 512
 
 
 # ---------------------------------------------------------------------------

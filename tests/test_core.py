@@ -522,6 +522,18 @@ def test_grid_stores_tiny_negatives_as_positive_zero(tiny):
     assert stored.tobytes() == CHECKER3.tobytes()
 
 
+@pytest.mark.parametrize(
+    "source",
+    [np.asfortranarray(CHECKER3), CHECKER3.tolist(), CHECKER3[::-1, ::-1][::-1, ::-1]],
+    ids=["fortran", "list", "view"],
+)
+def test_grid_stores_a_private_c_ordered_copy(source):
+    stored = GridCopula(source).matrix
+    assert stored.flags.c_contiguous and not stored.flags.writeable
+    assert stored.tobytes() == CHECKER3.tobytes()
+    assert not np.shares_memory(stored, CHECKER3)
+
+
 def test_carrier_equality_is_identity_not_elementwise(checker3):
     # array-valued carriers compare by identity; matrices compare via numpy
     other = GridCopula(CHECKER3)

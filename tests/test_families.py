@@ -25,8 +25,10 @@ from copula_markov import (
     is_si_archimedean,
     ordinal_sum,
     tabulated_generator,
+    transpose,
 )
 from copula_markov.core import Copula, _fd_partial
+from copula_markov.serialize import copula_from_spec
 # ---------------------------------------------------------------------------
 # Archimedean copulas
 # ---------------------------------------------------------------------------
@@ -92,6 +94,48 @@ def test_generator_parameter_ranges():
         gumbel_generator(0.5)
     with pytest.raises(DomainError):
         frank_generator(0.0)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "factory", [clayton_generator, gumbel_generator, frank_generator, gumbel_pickands]
+)
+def test_non_finite_parameters_rejected(factory, theta):
+    with pytest.raises(DomainError, match="finite theta"):
+        factory(theta)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "archimedean", "family": "clayton", "theta": np.nan},
+        {"type": "archimedean", "family": "gumbel", "theta": np.inf},
+        {"type": "archimedean", "family": "frank", "theta": -np.inf},
+        {"type": "archimedean", "family": "frank", "theta": 740.0},
+        {"type": "extreme-value", "family": "gumbel", "theta": np.nan},
+        {"type": "extreme-value", "family": "gumbel", "theta": np.inf},
+    ],
+)
+def test_non_finite_parameters_rejected_from_specs(spec):
+    with pytest.raises(DomainError, match="finite theta"):
+        copula_from_spec(spec)
+
+
+@pytest.mark.parametrize("theta", [740.0, 800.0, -750.0, 708.4, -708.4])
+def test_frank_refuses_theta_whose_exponential_is_subnormal(theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"\|theta\| <= 708\.396"):
+            frank_generator(theta)
+
+
+@pytest.mark.parametrize("theta", [708.39, -708.39])
+def test_frank_builds_up_to_the_normal_range(theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cop = archimedean_copula(frank_generator(theta))
+        value = cop.cdf(0.3, 0.6)
+    assert value == pytest.approx(0.3 if theta > 0 else 0.0, abs=1e-12)
 
 
 def test_generator_invariants_rejected():
@@ -301,6 +345,25 @@ def test_archimedean_quantile_without_a_kernel_bisects(rng):
     cop = archimedean_copula(gumbel_generator(2.0))
     u, w = rng.random(20), rng.random(20)
     assert np.array_equal(cop.conditional_quantile(u, w), Copula._quantile(cop, u, w))
+
+
+@pytest.mark.parametrize(
+    "cop",
+    [
+        archimedean_copula(gumbel_generator(2.0)),
+        extreme_value_copula(gumbel_pickands(2.5)),
+        ordinal_sum([(0.2, 0.6)], [archimedean_copula(clayton_generator(2.0))]),
+        transpose(extreme_value_copula(gumbel_pickands(2.5))),
+    ],
+    ids=["gumbel-archimedean", "gumbel-ev", "ordinal-sum", "transposed-ev"],
+)
+def test_bisected_quantile_of_zero_is_zero(cop, rng):
+    # inf{t : d1 C(u, t) >= 0} = 0 on every carrier
+    u = np.array([0.0, 0.5, 0.9, 1.0])
+    assert np.array_equal(cop.conditional_quantile(u, 0.0), np.zeros(4))
+    assert cop.conditional_quantile(0.5, 0.0) == 0.0
+    w = rng.random(8)
+    assert np.all(cop.conditional_quantile(0.5, w) > 0.0)
 
 
 # ---------------------------------------------------------------------------
