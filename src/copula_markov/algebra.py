@@ -120,11 +120,12 @@ def _common_resolution(*copulas, resolution=DEFAULT_RESOLUTION, cap=None):
     return n
 
 
-def _common_grid(*copulas, resolution=DEFAULT_RESOLUTION, cap=None):
-    """Bring the operands onto one grid at their common resolution."""
+def _grids(*copulas, resolution=DEFAULT_RESOLUTION, cap=None):
+    """The operands as grids: a grid as it is, and each distinct closed
+    form discretized once at the common resolution."""
     n = _common_resolution(*copulas, resolution=resolution, cap=cap)
     grids = {id(c): c for c in copulas}  # an operand passed twice discretizes once
-    grids = {key: c.discretize(n) for key, c in grids.items()}
+    grids = {key: c if isinstance(c, GridCopula) else c.discretize(n) for key, c in grids.items()}
     return tuple(grids[id(c)] for c in copulas)
 
 
@@ -143,25 +144,23 @@ def markov_product(c1: Copula, c2: Copula, resolution=DEFAULT_RESOLUTION, cap=No
     product = _exact_product(c1, c2)
     if product is not None:
         return product
-    return _grid_product(c1, c2, resolution=resolution, cap=cap)
+    return _grid_product(*_grids(c1, c2, resolution=resolution, cap=cap))
 
 
-def _grid_product(c1: Copula, c2: Copula, resolution=DEFAULT_RESOLUTION, cap=None):
-    """C1 * C2 as a grid, for operands that are neither unit nor annihilator.
+def _grid_product(g1: GridCopula, g2: GridCopula):
+    """The product of two grids, whose common resolution the caller has
+    checked against the cap.
 
-    A closed-form operand is discretized at the common resolution.  For a
-    p-grid A and a q-grid B with p != q, L = lcm(p, q), r = L/p and
+    For a p-grid A and a q-grid B with p != q, L = lcm(p, q), r = L/p and
     s = L/q, the L-refined product is constant on r x s blocks: block
     (i, j) is (A B')[i, j] / (r s), where the p x q matrix B' sums B's rows
     over each cell of A (every row of B repeated s times, then added in
     runs of r).  That costs 2 p^2 q flops instead of 2 L^3.
     """
-    n = _common_resolution(c1, c2, resolution=resolution, cap=cap)
-    g1 = c1 if isinstance(c1, GridCopula) else c1.discretize(n)
-    g2 = g1 if c2 is c1 else c2 if isinstance(c2, GridCopula) else c2.discretize(n)
     p, q = g1.n, g2.n
     if p == q:
         return GridCopula._trusted(_matmul(g1.matrix, g2.matrix))
+    n = lcm(p, q)
     r, s = n // p, n // q
     rebinned = np.repeat(g2.matrix, s, axis=0).reshape(p, r, q).sum(axis=1)
     blocks = _matmul(g1.matrix, rebinned) / (r * s)
@@ -237,18 +236,17 @@ def _exact_product(c1: Copula, c2: Copula):
     return None
 
 
-def _product_and_operand(d: Copula, c: Copula, resolution=DEFAULT_RESOLUTION):
-    """D * C, and C to compare it with: C itself against an exact product,
-    C discretized at the resolution of a grid product."""
+def _product_and_operand(d: Copula, c: Copula, target=None, resolution=DEFAULT_RESOLUTION):
+    """D * C, and the copula to compare it with (C by default), on the
+    product's grid when the product is a grid."""
     product = _exact_product(d, c)
     if product is None:
-        same = d is c
-        if not isinstance(c, GridCopula):  # discretized once, also when D is C
-            c = c.discretize(_common_resolution(d, c, resolution=resolution))
-        product = _grid_product(c if same else d, c, resolution=resolution)
+        d, c = _grids(d, c, resolution=resolution)
+        product = _grid_product(d, c)
+    target = c if target is None else target
     if isinstance(product, GridCopula):
-        c = c.discretize(product.n)
-    return product, c
+        target = target.discretize(product.n)
+    return product, target
 
 
 def quadrature_markov_product(c1: Copula, c2: Copula, panels: int):
@@ -313,7 +311,7 @@ def power(c: Copula, n: int, resolution=DEFAULT_RESOLUTION, cap=None):
         raise DomainError("power requires n >= 1")
     if _exact_product(c, c) is not None:
         return c
-    (grid,) = _common_grid(c, resolution=resolution, cap=cap)
+    (grid,) = _grids(c, resolution=resolution, cap=cap)
     return GridCopula._trusted(np.linalg.matrix_power(grid.matrix, n))
 
 
@@ -426,7 +424,7 @@ def iterate_to_limit(
     _check_tol(interval_tol, positive=True, name="interval_tol")
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
-    (base,) = _common_grid(c, resolution=resolution)
+    (base,) = _grids(c, resolution=resolution)
     verdict = check_si(base, component=1, tol=1e-9)
     if not verdict.si:
         raise NotStochasticallyIncreasingError(verdict)

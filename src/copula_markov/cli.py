@@ -57,7 +57,7 @@ def cmd_check(args) -> int:
         holds = verdict.pqd if prop == "pqd" else verdict.nqd
         payload = verdict.to_json()
     elif prop == "complete-dependence":
-        verdict = monotonicity.check_complete_dependence(c, tol=tol)
+        verdict = monotonicity.check_complete_dependence(c, tol=tol, resolution=args.resolution)
         holds = verdict.completely_dependent
         payload = verdict.to_json()
     else:  # pragma: no cover - argparse restricts the choices

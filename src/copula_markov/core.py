@@ -46,9 +46,9 @@ MATRIX_TOL = 1e-9
 #: finite-difference step for analytic partial derivatives
 FD_STEP = 1e-6
 
-# relative snap of n*x onto integer cell boundaries; points this close to a
-# boundary are treated as lying on it (the a.e. conventions below then apply)
-_BOUNDARY_SNAP = 1e-9
+# relative snap of n*x onto integer cell boundaries: k/n rounded to a double
+# lies on its boundary, a point a few ulps farther inside a cell stays in it
+_BOUNDARY_SNAP = 4 * np.finfo(float).eps
 
 
 class CopulaError(Exception):

@@ -34,36 +34,69 @@ _D1_T_CELLS = 2048
 _CORNER_SLAB = 1 << 16
 
 
-def _axis_points(c1: Copula, c2: Copula, knot_getter):
-    pts = np.linspace(0.0, 1.0, AUDIT_POINTS)
-    extra = list(knot_getter(c1)()) + list(knot_getter(c2)())
-    if extra:
-        pts = np.unique(np.concatenate([pts, np.asarray(extra, dtype=float)]))
-    return pts
+def _axis_points(*knots):
+    """The audit lattice joined with the knots, sorted."""
+    return np.unique(np.concatenate([np.linspace(0.0, 1.0, AUDIT_POINTS), *map(np.asarray, knots)]))
+
+
+def _first_extremes(blocks):
+    """Max and min over the values of one scan, given as arrays in scan
+    order, each with the position in the scan of the first value attaining
+    it: ``(max, max_at, min, min_at)``."""
+    hi, at_hi, lo, at_lo, start = -np.inf, 0, np.inf, 0, 0
+    for diff in blocks:
+        i, j = int(np.argmax(diff)), int(np.argmin(diff))
+        if diff.flat[i] > hi:  # strict, so a tie keeps the earlier point
+            hi, at_hi = float(diff.flat[i]), start + i
+        if diff.flat[j] < lo:
+            lo, at_lo = float(diff.flat[j]), start + j
+        start += diff.size
+    return hi, at_hi, lo, at_lo
 
 
 def _corner_extremes(g1: GridCopula, g2: GridCopula):
     """Max and min of (C1 - C2) on the corner lattice of two grids of one
     resolution, each with its row-major flat corner index (the first one
     attaining it): ``(max, max_index, min, min_index)``."""
-    # slab by slab through one cache-sized buffer, not a fresh (n+1)^2
-    # array; a strict comparison keeps the earlier corner on a tie
+    # slab by slab through one cache-sized buffer, not a fresh (n+1)^2 array
     p1 = g1._prefix.ravel()
     p2 = g2._prefix.ravel()
     buf = np.empty(min(p1.size, _CORNER_SLAB))
-    hi, at_hi, lo, at_lo = -np.inf, 0, np.inf, 0
-    for start in range(0, p1.size, _CORNER_SLAB):
-        stop = min(start + _CORNER_SLAB, p1.size)
-        diff = buf[: stop - start]
-        np.subtract(p1[start:stop], p2[start:stop], out=diff)
-        diff /= g1.n
-        i = int(np.argmax(diff))
-        j = int(np.argmin(diff))
-        if diff[i] > hi:
-            hi, at_hi = float(diff[i]), start + i
-        if diff[j] < lo:
-            lo, at_lo = float(diff[j]), start + j
-    return hi, at_hi, lo, at_lo
+
+    def slabs():
+        for start in range(0, p1.size, _CORNER_SLAB):
+            diff = buf[: min(_CORNER_SLAB, p1.size - start)]
+            np.subtract(p1[start : start + diff.size], p2[start : start + diff.size], out=diff)
+            yield np.divide(diff, g1.n, out=diff)
+
+    return _first_extremes(slabs())
+
+
+def _extremes(c1: Copula, c2: Copula):
+    """Max and min of C1 - C2, each with the first point attaining it and
+    its position in the scan: ``((max, point, position), (min, point,
+    position))``.  The scan runs over the lattice us x vs in blocks of w
+    v-columns, row by row within a block: the corners of two grids of one
+    resolution are one block, the audit mesh of any other pair several."""
+    if isinstance(c1, GridCopula) and isinstance(c2, GridCopula) and c1.n == c2.n:
+        us = vs = np.arange(c1.n + 1) / c1.n
+        w = vs.size
+        hi, at_hi, lo, at_lo = _corner_extremes(c1, c2)
+    else:
+        us = _axis_points(c1.knots_u(), c2.knots_u())
+        vs = _axis_points(c1.knots_v(), c2.knots_v())
+        w = max(1, int(4e6 / us.size))  # bounds the memory of one block
+        blocks = (vs[None, s : s + w] for s in range(0, vs.size, w))
+        hi, at_hi, lo, at_lo = _first_extremes(
+            np.asarray(c1.cdf(us[:, None], v)) - np.asarray(c2.cdf(us[:, None], v)) for v in blocks
+        )
+
+    def point(at):
+        s = at // (w * us.size) * w
+        i, j = divmod(at - s * us.size, min(w, vs.size - s))
+        return float(us[i]), float(vs[s + j])
+
+    return (hi, point(at_hi), at_hi), (lo, point(at_lo), at_lo)
 
 
 def sup_gap(c1: Copula, c2: Copula, signed=False):
@@ -73,36 +106,13 @@ def sup_gap(c1: Copula, c2: Copula, signed=False):
     is bilinear on each cell, so the corner lattice is exact.  Any other
     pair runs over the audit mesh: the 257-point lattice joined with the
     knots of both operands, which is exact for grids of different
-    resolutions too, since their knots are all their corners.
+    resolutions too, since their knots are all their corners.  Unsigned, a
+    tie between the max and the negated min takes the point scanned first.
     """
-    if isinstance(c1, GridCopula) and isinstance(c2, GridCopula) and c1.n == c2.n:
-        hi, at_hi, lo, at_lo = _corner_extremes(c1, c2)
-        if signed or abs(hi) > abs(lo):
-            gap, at = hi, at_hi
-        elif abs(lo) > abs(hi):
-            gap, at = abs(lo), at_lo
-        else:  # a tie; argmax(|diff|) would take the earlier corner
-            gap, at = abs(lo), min(at_hi, at_lo)
-        i, j = divmod(at, c1.n + 1)
-        return gap, (i / c1.n, j / c1.n)
-    us = _axis_points(c1, c2, lambda c: c.knots_u)
-    vs = _axis_points(c1, c2, lambda c: c.knots_v)
-    best = -np.inf
-    best_uv = (0.0, 0.0)
-    # chunk the v-axis to keep the mesh memory bounded for fine grids
-    step = max(1, int(4e6 / max(us.size, 1)))
-    for start in range(0, vs.size, step):
-        vc = vs[start : start + step]
-        diff = np.asarray(c1.cdf(us[:, None], vc[None, :])) - np.asarray(
-            c2.cdf(us[:, None], vc[None, :])
-        )
-        if not signed:
-            diff = np.abs(diff)
-        i, j = np.unravel_index(np.argmax(diff), diff.shape)
-        if diff[i, j] > best:
-            best = float(diff[i, j])
-            best_uv = (float(us[i]), float(vc[j]))
-    return best, best_uv
+    (hi, hi_uv, hi_pos), (lo, lo_uv, lo_pos) = _extremes(c1, c2)
+    if signed or abs(hi) > abs(lo):
+        return hi, hi_uv
+    return abs(lo), lo_uv if abs(lo) > abs(hi) or lo_pos < hi_pos else hi_uv
 
 
 def d_inf_witness(c1: Copula, c2: Copula):
@@ -138,9 +148,10 @@ def d1_metric(c1: Copula, c2: Copula) -> float:
     """
     grids = [c.n for c in (c1, c2) if isinstance(c, GridCopula)]
     if len(grids) == 2:
-        from .algebra import _common_grid
+        from .algebra import _common_resolution
 
-        return _d1_grids(*_common_grid(c1, c2))
+        n = _common_resolution(c1, c2)
+        return _d1_grids(c1.discretize(n), c2.discretize(n))
     if grids:
         n = grids[0] * max(1, -(-128 // grids[0]))
         return _d1_grids(c1.discretize(n), c2.discretize(n))
@@ -321,11 +332,10 @@ def nqd_idempotent_check(c: Copula, tol=1e-9) -> NqdVerdict:
         raise DomainError(
             f"input is not idempotent within {tol:g} (gap {idem.gap:.3g})"
         )
-    pi = IndependenceCopula()
-    excess, _ = sup_gap(c, pi, signed=True)
+    (excess, _, _), (lo, _, _) = _extremes(c, IndependenceCopula())
     if excess > tol:
         return NqdVerdict(False, float(excess), None, None, None)
-    gap = d_inf(c, pi)
+    gap = max(abs(excess), abs(lo))
     sob = sobolev_diagonal(c)
     consistent = gap <= 10.0 * tol and abs(sob - 2.0 / 3.0) <= 10.0 * tol
     return NqdVerdict(True, float(excess), float(gap), float(sob), bool(consistent))

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
-from .algebra import _product_and_operand, markov_product, transpose
+from .algebra import DEFAULT_RESOLUTION, _product_and_operand, transpose
 from .core import (
     Copula,
     DomainError,
@@ -76,44 +76,35 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
         raise DomainError("component must be 1 or 2")
     _check_tol(tol)
     if isinstance(c, GridCopula):
-        verdict = _check_si_grid(c.matrix if component == 1 else c.matrix.T, tol)
+        # the running sums along the rows of the matrix (of its transpose
+        # for component 2) are the conditional laws d1 C(k/n, l/n)
+        a = c.matrix if component == 1 else c.matrix.T
+        n = a.shape[0]
+        if n == 1:
+            return MonotonicityVerdict(True, True, component, 0.0, None, "exact-cumsum")
+        steps = np.diff(_running_sums(a)[:, 1:], axis=0)  # > 0 breaks SI, < 0 breaks SD
+        # the witness of step (k, l): cell midpoints k and k + 1, edge l + 1
+        mid = (np.arange(n) + 0.5) / n
+        u1, u2, v, method = mid[:-1], mid[1:], (np.arange(n) + 1.0) / n, "exact-cumsum"
     else:
+        u = np.linspace(0.0, 1.0, u_points)
+        v = np.linspace(0.0, 1.0, v_points)
         work = c if component == 1 else transpose(c)
-        verdict = _check_si_sections(work, tol, u_points, v_points)
-    return MonotonicityVerdict(
-        si=verdict[0],
-        sd=verdict[1],
-        component=component,
-        max_violation=verdict[2],
-        witness=verdict[3],
-        method=verdict[4],
-    )
-
-
-def _check_si_grid(a, tol):
-    # a is the matrix, or its transpose for component 2: the running sums
-    # along its rows are the conditional laws d1 C(k/n, l/n)
-    n = a.shape[0]
-    if n == 1:
-        return True, True, 0.0, None, "exact-cumsum"
-    steps = np.diff(_running_sums(a)[:, 1:], axis=0)  # > 0 breaks SI, < 0 breaks SD
+        vals = np.asarray(work.cdf(u[:, None], v[None, :]))
+        # second differences of the sections: > 0 breaks concavity (SI)
+        steps = vals[:-2, :] + vals[2:, :] - 2.0 * vals[1:-1, :]
+        u1, u2, v, method = u[:-2].tolist(), u[2:].tolist(), v.tolist(), "grid-certified"
     si_worst = float(steps.max())
     sd_worst = float(-steps.min())
     k, l = np.unravel_index(np.argmax(steps), steps.shape)
-    witness = ((k + 0.5) / n, (k + 1.5) / n, (l + 1.0) / n)
-    return si_worst <= tol, sd_worst <= tol, max(si_worst, 0.0), witness, "exact-cumsum"
-
-
-def _check_si_sections(c: Copula, tol, u_points, v_points):
-    u = np.linspace(0.0, 1.0, u_points)
-    v = np.linspace(0.0, 1.0, v_points)
-    vals = np.asarray(c.cdf(u[:, None], v[None, :]))
-    second = vals[:-2, :] + vals[2:, :] - 2.0 * vals[1:-1, :]
-    si_worst = float(second.max())   # concavity violated by positive bumps
-    sd_worst = float(-second.min())
-    i, j = np.unravel_index(np.argmax(second), second.shape)
-    witness = (float(u[i]), float(u[i + 2]), float(v[j]))
-    return si_worst <= tol, sd_worst <= tol, max(si_worst, 0.0), witness, "grid-certified"
+    return MonotonicityVerdict(
+        si=si_worst <= tol,
+        sd=sd_worst <= tol,
+        component=component,
+        max_violation=max(si_worst, 0.0),
+        witness=(u1[k], u2[k], v[l]),
+        method=method,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +133,8 @@ def check_dominance(d: Copula, c: Copula, tol=1e-9, reverse=False) -> DominanceV
     the relevant direction for stochastically decreasing C.
     """
     _check_tol(tol)
-    product, c = _product_and_operand(d, c)
-    lhs, rhs = (c, product) if reverse else (product, c)
-    gap, witness = metrics.sup_gap(lhs, rhs, signed=True)
+    (hi, hi_uv, _), (lo, lo_uv, _) = metrics._extremes(*_product_and_operand(d, c))
+    gap, witness = (0.0 - lo, lo_uv) if reverse else (hi, hi_uv)
     return DominanceVerdict(bool(gap <= tol), float(gap), witness, bool(reverse))
 
 
@@ -177,9 +167,8 @@ def check_quadrant_dependence(c: Copula, tol=1e-9) -> QuadrantVerdict:
     """PQD iff C >= uv - tol on the audit mesh, NQD iff C <= uv + tol;
     both at once pins C to independence within tol."""
     _check_tol(tol)
-    pi = IndependenceCopula()
-    above, _ = metrics.sup_gap(c, pi, signed=True)
-    below, _ = metrics.sup_gap(pi, c, signed=True)
+    (above, _, _), (lo, _, _) = metrics._extremes(c, IndependenceCopula())
+    below = 0.0 - lo  # not -lo, which is -0.0 for every C >= uv
     return QuadrantVerdict(
         pqd=bool(below <= tol),
         nqd=bool(above <= tol),
@@ -197,21 +186,20 @@ class CompleteDependenceVerdict(_Record):
         return self.completely_dependent
 
 
-def check_complete_dependence(c: Copula, tol=1e-9) -> CompleteDependenceVerdict:
+def check_complete_dependence(c: Copula, tol=1e-9, resolution=DEFAULT_RESOLUTION):
     """Left-invertibility under the product: transpose(C) * C = upper bound.
 
-    A grid product is compared with the upper bound discretized at the
-    product's resolution (the identity matrix), exactly on the corner
-    lattice, where checkerboards represent their copulas exactly (between
-    corners every checkerboard sits below the upper bound by the O(1/n)
-    cell floor, which carries no information about C).  A closed-form
-    product runs over the audit mesh of :func:`copula_markov.metrics.sup_gap`.
+    A grid product (a closed form is discretized at ``resolution``) is
+    compared with the upper bound discretized at the product's resolution
+    (the identity matrix), exactly on the corner lattice, where
+    checkerboards represent their copulas exactly (between corners every
+    checkerboard sits below the upper bound by the O(1/n) cell floor,
+    which carries no information about C).  A closed-form product runs
+    over the audit mesh of :func:`copula_markov.metrics.sup_gap`.
     """
     _check_tol(tol)
-    product = markov_product(transpose(c), c)
     upper = UpperFrechetCopula()
-    if isinstance(product, GridCopula):
-        upper = upper.discretize(product.n)
+    product, upper = _product_and_operand(transpose(c), c, upper, resolution=resolution)
     gap = metrics.d_inf(product, upper)
     return CompleteDependenceVerdict(bool(gap <= tol), float(gap))
 

@@ -24,6 +24,7 @@ from .core import (
     _trusted_carrier,
     _validate_doubly_stochastic,
 )
+from .algebra import _matmul
 
 __all__ = [
     "DiscreteMarkovOperator",
@@ -60,7 +61,7 @@ class DiscreteMarkovOperator:
     def compose(self, other: "DiscreteMarkovOperator") -> "DiscreteMarkovOperator":
         if other.n != self.n:
             raise DomainError("operators must share a resolution")
-        return DiscreteMarkovOperator._trusted(self.matrix @ other.matrix)
+        return DiscreteMarkovOperator._trusted(_matmul(self.matrix, other.matrix))
 
     def is_idempotent(self, tol=1e-12) -> bool:
         _check_tol(tol)

@@ -407,3 +407,17 @@ def test_identical_invocations_are_byte_identical(specs, capsys, tmp_path):
     run(capsys, *trace, t1)
     run(capsys, *trace, t2)
     assert Path(t1).read_bytes() == Path(t2).read_bytes()
+
+
+def test_check_complete_dependence_honours_the_resolution(tmp_path, capsys):
+    spec = tmp_path / "clayton.json"
+    spec.write_text(json.dumps({"type": "archimedean", "family": "clayton", "theta": 2.0}))
+    gaps = {}
+    for n in ("16", "128"):
+        code, out, _ = run(
+            capsys, "check", str(spec), "--property", "complete-dependence", "--resolution", n
+        )
+        assert code == 1
+        gaps[n] = json.loads(out)["gap"]
+    _, out, _ = run(capsys, "check", str(spec), "--property", "complete-dependence")
+    assert json.loads(out)["gap"] == gaps["128"] != gaps["16"]

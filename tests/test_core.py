@@ -663,3 +663,20 @@ def test_benchmark_hook_points_exist():
     assert callable(metrics.__dict__["_d1_grids"])
     assert "__post_init__" in GridCopula.__dict__
     assert "__post_init__" in DiscreteMarkovOperator.__dict__
+
+
+def test_a_point_just_inside_a_cell_stays_in_it():
+    # 1024 u = 972.99999967: strictly inside cell 972, 3.3e-10 below its edge
+    u = 0.9501953121822189
+    assert cell_index(1024, u) == 972
+    assert cell_index(1024, u, side="left") == 972
+    # rows 972 and 973 of a permutation grid put their mass far apart
+    perm = np.arange(1024)
+    perm[[972, 100]] = perm[[100, 972]]
+    grid = GridCopula(np.eye(1024)[perm])
+    assert grid.conditional_quantile(u, 0.5) == (100 + 0.5) / 1024
+    # a boundary k/n computed in floating point still lands on the edge
+    assert cell_index(100, 0.29) == 29
+    assert list(cell_index(3, np.array([1 / 3, 2 / 3]))) == [1, 2]
+    assert list(cell_index(3, np.array([1 / 3, 2 / 3]), side="left")) == [0, 1]
+    assert np.array_equal(cell_index(1024, np.arange(1, 1024) / 1024), np.arange(1, 1024))

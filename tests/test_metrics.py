@@ -516,3 +516,142 @@ def test_idempotent_suite_sweep():
         ["independence", "identity", "two-blocks", "half-block"]
     )
     assert d_inf(suite["independence"], IndependenceCopula()) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# one extremes pass per comparison
+# ---------------------------------------------------------------------------
+
+
+def mesh_reference(c1, c2, signed):
+    """sup_gap over the audit mesh from one full (u, v) array: the first
+    maximum in scan order, block by block of v-columns (the kernel's block
+    width), row by row within a block."""
+    us = np.unique(np.concatenate([np.linspace(0, 1, 257), c1.knots_u(), c2.knots_u()]))
+    vs = np.unique(np.concatenate([np.linspace(0, 1, 257), c1.knots_v(), c2.knots_v()]))
+    diff = np.asarray(c1.cdf(us[:, None], vs[None, :])) - np.asarray(c2.cdf(us[:, None], vs[None, :]))
+    if not signed:
+        diff = np.abs(diff)
+    step = max(1, int(4e6 / us.size))
+    starts = range(0, vs.size, step)
+    scan = np.concatenate([diff[:, s : s + step].ravel() for s in starts])
+    at = int(np.argmax(scan))
+    for s in starts:
+        block = diff[:, s : s + step]
+        if at < block.size:
+            i, j = divmod(at, block.shape[1])
+            return float(block[i, j]), (float(us[i]), float(vs[s + j]))
+        at -= block.size
+
+
+def swap_bumps(n, bumps):
+    """The n-grid of Pi with half a cell's mass moved around each
+    (i, k, j, l): onto cells (i, j) and (k, l), off (i, l) and (k, j), the
+    other way for sign -1.  C - Pi is then +-1/(2 n^2) on
+    [i + 1, k] x [j + 1, l] / n, exactly for n a power of 2."""
+    a = np.full((n, n), 1.0 / n)
+    for (i, k, j, l), sign in bumps:
+        a[[i, k], [j, l]] += 0.5 * sign / n
+        a[[i, k], [l, j]] -= 0.5 * sign / n
+    return GridCopula(a)
+
+
+def several_block_tie():
+    """A 2048-grid against the 1024-grid of Pi, with C1 - C2 = +1/(2 n^2)
+    at large u in the first block of v-columns and -1/(2 n^2) at small u
+    in the last: row-major over the whole mesh meets the minimum first,
+    the block scan the maximum."""
+    g = swap_bumps(2048, [((1900, 1910, 100, 110), 1), ((100, 110, 2000, 2010), -1)])
+    return g, GridCopula(np.full((1024, 1024), 1.0 / 1024))
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize(
+    "pair",
+    ["tie", "tie-reversed", "mixed", "closed", "grid-closed", "several-blocks"],
+)
+def test_sup_gap_on_the_mesh_matches_the_full_array_reference(pair, signed, rng):
+    tie_3 = GridCopula(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1.0]]))
+    tie_2 = GridCopula(np.eye(2))  # against tie_3: +-1/6 on the mesh
+    clayton = archimedean_copula(clayton_generator(2.0))
+    c1, c2 = {
+        "tie": (tie_3, tie_2),
+        "tie-reversed": (tie_2, tie_3),
+        "mixed": (GridCopula(random_doubly_stochastic(rng, 6)), GridCopula(random_doubly_stochastic(rng, 4))),
+        "closed": (clayton, extreme_value_copula(gumbel_pickands(2.5))),
+        "grid-closed": (GridCopula(random_doubly_stochastic(rng, 12)), clayton),
+        "several-blocks": several_block_tie(),
+    }[pair]
+    assert sup_gap(c1, c2, signed=signed) == mesh_reference(c1, c2, signed)
+
+
+def test_an_unsigned_tie_on_several_blocks_takes_the_first_block():
+    c1, c2 = several_block_tie()
+    gap, (u, v) = sup_gap(c1, c2)
+    assert gap == 0.5 / 2048**2
+    assert u > 0.9 and v < 0.1  # the maximum, in the first block
+    low, (u_low, v_low) = sup_gap(c2, c1, signed=True)
+    assert low == gap and u_low < 0.1 and v_low > 0.9  # the minimum, in the last
+
+
+def count_cdf_points(monkeypatch):
+    """Record the points of every public cdf evaluation."""
+    points = []
+    cdf = Copula.cdf
+
+    def counted(self, u, v):
+        points.append(np.broadcast(np.asarray(u), np.asarray(v)).size)
+        return cdf(self, u, v)
+
+    monkeypatch.setattr(Copula, "cdf", counted)
+    return points
+
+
+@pytest.mark.parametrize("kind", ["clayton", "grid"])
+def test_quadrant_check_evaluates_the_mesh_once(monkeypatch, rng, kind):
+    c = {
+        "clayton": archimedean_copula(clayton_generator(2.0)),
+        "grid": GridCopula(random_doubly_stochastic(rng, 5)),
+    }[kind]
+    mesh = np.unique(np.concatenate([np.linspace(0, 1, 257), c.knots_u()])).size ** 2
+    points = count_cdf_points(monkeypatch)
+    verdict = check_quadrant_dependence(c)
+    assert points == [mesh, mesh]  # C and Pi, once each
+    assert verdict.max_above_independence == max(sup_gap(c, IndependenceCopula(), signed=True)[0], 0.0)
+    assert verdict.max_below_independence == max(sup_gap(IndependenceCopula(), c, signed=True)[0], 0.0)
+
+
+def test_nqd_check_evaluates_the_mesh_once(monkeypatch):
+    from copula_markov import algebra
+    from copula_markov.algebra import IdempotenceVerdict
+
+    # the idempotence gate is not counted here
+    monkeypatch.setattr(algebra, "is_idempotent", lambda c, tol: IdempotenceVerdict(True, 0.0, (0.0, 0.0)))
+    pi = IndependenceCopula()
+    points = count_cdf_points(monkeypatch)
+    verdict = nqd_idempotent_check(pi)
+    assert points.count(257**2) == 2  # C and Pi, once each; then the Sobolev diagonal
+    assert verdict.nqd and verdict.consistent
+    assert verdict.d_inf_to_independence == 0.0
+
+
+def test_zero_gaps_serialise_as_positive_zero(pi, checker3):
+    import json
+    import math
+
+    from copula_markov import check_dominance
+    from copula_markov.core import UpperFrechetCopula
+
+    quadrant = check_quadrant_dependence(pi)
+    dominance = check_dominance(UpperFrechetCopula(), checker3, reverse=True)
+    nqd = nqd_idempotent_check(pi)
+    for value in (
+        quadrant.max_below_independence,
+        quadrant.max_above_independence,
+        dominance.gap,
+        nqd.max_excess_over_independence,
+        nqd.d_inf_to_independence,
+    ):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    for record in (quadrant, dominance, nqd):
+        assert "-0.0" not in json.dumps(record.to_json())

@@ -411,3 +411,30 @@ def test_empirical_clayton_is_si_and_frank_negative_is_sd():
 def test_empirical_refuses_a_band_that_is_not_positive(pi, z):
     with pytest.raises(DomainError, match="z must be positive"):
         empirical_si_check(pi, lambda t: 1.0 - t, samples=1000, seed=12, z=z)
+
+
+def test_complete_dependence_discretizes_at_the_given_resolution():
+    clayton = archimedean_copula(clayton_generator(2.0))
+    default = check_complete_dependence(clayton)
+    assert check_complete_dependence(clayton, resolution=128) == default
+    coarse = check_complete_dependence(clayton, resolution=16)
+    assert coarse.gap != default.gap
+    # the 16-grid's own comparison: C^T * C against M, both at 16
+    grid = clayton.discretize(16)
+    expected, _ = sup_gap(GridCopula(grid.matrix.T @ grid.matrix), GridCopula(np.eye(16)))
+    assert coarse.gap == pytest.approx(expected, abs=1e-15)
+
+
+def test_reverse_dominance_is_the_sup_of_c_minus_the_product(rng):
+    # one extremes pass: the negated minimum of D * C - C, at its point
+    for n in (3, 4, 6):
+        d = GridCopula(random_doubly_stochastic(rng, n))
+        c = GridCopula(random_doubly_stochastic(rng, n))
+        product = markov_product(d, c)
+        verdict = check_dominance(d, c, reverse=True)
+        assert (verdict.gap, verdict.witness) == sup_gap(c, product, signed=True)
+    clayton = archimedean_copula(clayton_generator(2.0))
+    grid = GridCopula(random_doubly_stochastic(rng, 5))
+    verdict = check_dominance(grid, clayton, reverse=True)
+    product = markov_product(grid, clayton.discretize(5))
+    assert (verdict.gap, verdict.witness) == sup_gap(clayton.discretize(5), product, signed=True)

@@ -340,3 +340,16 @@ def test_fixed_sigma_field_refuses_rows_without_support(intervals):
     assert op.is_idempotent(tol=0.2)
     with pytest.raises(DomainError, match="no entry above"):
         fixed_sigma_field(op, tol=0.2)
+
+
+def test_compose_multiplies_through_the_grid_product_kernel(rng):
+    # at n <= 256 the kernel is a @ b bit for bit; large permutations take
+    # the support path, exactly
+    a = random_doubly_stochastic(rng, 64)
+    b = random_doubly_stochastic(rng, 64)
+    op_a, op_b = DiscreteMarkovOperator(a), DiscreteMarkovOperator(b)
+    assert op_a.compose(op_b).matrix.tobytes() == (op_a.matrix @ op_b.matrix).tobytes()
+    p, q = rng.permutation(512), rng.permutation(512)
+    eye = np.eye(512)
+    composed = DiscreteMarkovOperator(eye[p]).compose(DiscreteMarkovOperator(eye[q]))
+    assert np.array_equal(composed.matrix, eye[q[p]])
