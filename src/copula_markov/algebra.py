@@ -32,7 +32,10 @@ from .core import (
     LowerFrechetCopula,
     TransposedCopula,
     UpperFrechetCopula,
+    _bisect,
+    _check_count,
     _check_tol,
+    _ConstantCopula,
     _Record,
 )
 from .families import OrdinalSumCopula
@@ -101,16 +104,23 @@ class DecompositionError(CopulaError):
 
 def resolution_cap(cap=None) -> int:
     if cap is not None:
-        return int(cap)
+        return _check_count(cap, "cap")
     env = os.environ.get(RESOLUTION_CAP_ENV)
-    return int(env) if env else _DEFAULT_CAP
+    if not env:
+        return _DEFAULT_CAP
+    try:
+        env = float(env)
+    except ValueError:
+        pass  # refused below, by name
+    return _check_count(env, RESOLUTION_CAP_ENV)
 
 
 def _common_resolution(*copulas, resolution=DEFAULT_RESOLUTION, cap=None):
     """The resolution the operands share, cap-checked: the lcm of the grids'
     resolutions, or ``resolution`` when all are closed forms."""
+    resolution = _check_count(resolution)
     sizes = [c.n for c in copulas if isinstance(c, GridCopula)]
-    n = lcm(*sizes) if sizes else int(resolution)
+    n = lcm(*sizes) if sizes else resolution
     limit = resolution_cap(cap)
     if n > limit:
         raise ResolutionCapError(
@@ -262,8 +272,7 @@ def quadrature_markov_product(c1: Copula, c2: Copula, panels: int):
     (1, k), is then one (m, panels) by (panels, k) matrix product; other
     points broadcast the two tables and sum over the panels.
     """
-    if panels < 8:
-        raise DomainError("panel count must be >= 8")
+    panels = _check_count(panels, "panels", least=8)
     t = (np.arange(panels) + 0.5) / panels
 
     def value(u, v):
@@ -290,7 +299,7 @@ def transpose(c: Copula) -> Copula:
         return OrdinalSumCopula(c.intervals, tuple(map(transpose, c.components)))
     if isinstance(c, TransposedCopula):
         return c.base
-    if isinstance(c, (IndependenceCopula, UpperFrechetCopula, LowerFrechetCopula)):
+    if isinstance(c, _ConstantCopula):
         return c
     return TransposedCopula(c)
 
@@ -307,8 +316,7 @@ def si_sd_involution(c: Copula, resolution=DEFAULT_RESOLUTION, cap=None):
 
 def power(c: Copula, n: int, resolution=DEFAULT_RESOLUTION, cap=None):
     """n-fold Markov product (repeated squaring on grids)."""
-    if n < 1:
-        raise DomainError("power requires n >= 1")
+    n = _check_count(n, "n")
     if _exact_product(c, c) is not None:
         return c
     (grid,) = _grids(c, resolution=resolution, cap=cap)
@@ -422,8 +430,7 @@ def iterate_to_limit(
 
     _check_tol(tol, positive=True)
     _check_tol(interval_tol, positive=True, name="interval_tol")
-    if max_iter < 1:
-        raise DomainError("max_iter must be >= 1")
+    max_iter = _check_count(max_iter, "max_iter")
     (base,) = _grids(c, resolution=resolution)
     verdict = check_si(base, component=1, tol=1e-9)
     if not verdict.si:
@@ -516,14 +523,12 @@ def _refine_edges(c, lo, hi, gap_lo):
     """Boundaries of {v : v - C(v, v) > _EDGE_EPS}, one inside each bracket
     (lo[i], hi[i]) whose diagonal gap at lo[i] is ``gap_lo[i]``, by
     bisecting every bracket at once: one cdf call per step."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
     side_lo = np.asarray(gap_lo) > _EDGE_EPS
-    for _ in range(_EDGE_ITERS):
-        mid = 0.5 * (lo + hi)
-        keep_lo_side = (_diagonal_gap(c, mid) > _EDGE_EPS) == side_lo
-        lo = np.where(keep_lo_side, mid, lo)
-        hi = np.where(keep_lo_side, hi, mid)
+
+    def high(v):  # v lies on hi's side of the boundary
+        return (_diagonal_gap(c, v) > _EDGE_EPS) != side_lo
+
+    lo, hi = _bisect(high, lo, hi, _EDGE_ITERS)
     return 0.5 * (lo + hi)
 
 
@@ -538,6 +543,7 @@ def extract_pi_ordinal_structure(c: Copula, tol=1e-6, scan=1024) -> PiDecomposit
 
     Requires the input idempotent within ``tol``.
     """
+    scan = _check_count(scan, "scan")
     idem = is_idempotent(c, tol=tol)
     if not idem.idempotent:
         raise DomainError(
@@ -545,37 +551,27 @@ def extract_pi_ordinal_structure(c: Copula, tol=1e-6, scan=1024) -> PiDecomposit
             f"at {idem.witness})"
         )
 
-    if isinstance(c, GridCopula):
-        points = np.arange(1, c.n) / c.n
-        refine = False
-    else:
-        points = np.arange(1, scan) / scan
-        refine = True
-
+    m = c.n if isinstance(c, GridCopula) else scan
+    points = np.arange(1, m) / m
     gaps = _diagonal_gap(c, points)
-    # runs of scan points off the fixed set: starts[r] .. stops[r]
+    # the scan padded with 0 and 1, which count as fixed: the runs of free
+    # points start and stop at the edges between unlike neighbours, and
+    # each run end lies between the fixed and the free point of its edge
+    padded = np.concatenate([[0.0], points, [1.0]])
+    padded_gaps = np.concatenate([[0.0], gaps, [0.0]])
     free = np.concatenate([[False], gaps > tol, [False]])
-    starts = np.flatnonzero(free[1:-1] & ~free[:-2])
-    stops = np.flatnonzero(free[1:-1] & ~free[2:])
-    m = points.size
-    # a run's end lies between its outermost free point and the fixed scan
-    # point beside it, or at 0 or 1 when the run reaches the end of the scan
-    has_left = starts > 0
-    has_right = stops < m - 1
-    fixed_side = np.concatenate([starts[has_left] - 1, stops[has_right] + 1])
-    free_side = np.concatenate([starts[has_left], stops[has_right]])
-    if refine and fixed_side.size:
-        ends = _refine_edges(c, points[fixed_side], points[free_side], gaps[fixed_side])
-    else:
-        ends = points[fixed_side]
-    split = np.count_nonzero(has_left)
-    lefts = np.zeros(starts.size)
-    lefts[has_left] = ends[:split]
-    rights = np.ones(stops.size)
-    rights[has_right] = ends[split:]
-    intervals = [(float(a), float(b)) for a, b in zip(lefts, rights)]
+    edge = np.flatnonzero(free[1:] != free[:-1])
+    fixed, loose = edge + free[edge], edge + ~free[edge]  # the two points of each edge
+    ends = padded[fixed]
+    # an end at a pad is 0 or 1 and a grid's ends are its corners; a closed
+    # form bisects every other end between the two points of its edge
+    inner = (fixed > 0) & (fixed < m)
+    if not isinstance(c, GridCopula) and inner.any():
+        fixed, loose = fixed[inner], loose[inner]
+        ends[inner] = _refine_edges(c, padded[fixed], padded[loose], padded_gaps[fixed])
+    intervals = [(float(a), float(b)) for a, b in zip(ends[::2], ends[1::2])]
 
-    if m == 0:
+    if m == 1:
         # resolution-1 grids carry a single block covering everything
         if float(_diagonal_gap(c, 0.5)) > tol:
             intervals.append((0.0, 1.0))

@@ -26,7 +26,7 @@ from .algebra import (
     markov_product,
     quadrature_markov_product,
 )
-from .core import CopulaError, DomainError, GridCopula
+from .core import CopulaError, DomainError, GridCopula, _check_count
 from .serialize import _write_json, load_copula, save_copula
 
 
@@ -47,23 +47,16 @@ def cmd_check(args) -> int:
         component = int(prop[-1])
         verdict = monotonicity.check_si(c, component=component, tol=tol)
         holds = verdict.si if prop.startswith("si") else verdict.sd
-        payload = verdict.to_json()
     elif prop == "idempotent":
         verdict = algebra.is_idempotent(c, tol=tol, resolution=args.resolution)
         holds = verdict.idempotent
-        payload = verdict.to_json()
     elif prop in ("pqd", "nqd"):
         verdict = monotonicity.check_quadrant_dependence(c, tol=tol)
         holds = verdict.pqd if prop == "pqd" else verdict.nqd
-        payload = verdict.to_json()
-    elif prop == "complete-dependence":
+    else:  # complete-dependence, the last of the choices argparse allows
         verdict = monotonicity.check_complete_dependence(c, tol=tol, resolution=args.resolution)
         holds = verdict.completely_dependent
-        payload = verdict.to_json()
-    else:  # pragma: no cover - argparse restricts the choices
-        raise DomainError(f"unknown property {prop}")
-    payload = {"property": prop, "holds": bool(holds), **payload}
-    _emit(payload)
+    _emit({"property": prop, "holds": bool(holds), **verdict.to_json()})
     return 0 if holds else 1
 
 
@@ -117,9 +110,7 @@ def cmd_iterate(args) -> int:
 
 def cmd_derivative_trace(args) -> int:
     c = load_copula(args.spec)
-    m = args.points
-    if m < 1:
-        raise DomainError("points must be >= 1")
+    m = _check_count(args.points, "points")
     x = (np.arange(m) + 0.5) / m
     if args.component == 1:
         values = np.asarray(c.partial_derivative(1, x, args.at))

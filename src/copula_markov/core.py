@@ -76,6 +76,29 @@ def _check_tol(tol, positive=False, name="tol"):
         raise DomainError(f"{name} must be {'positive' if positive else '>= 0'}, got {tol!r}")
 
 
+def _check_count(n, name="resolution", least=1):
+    """``n`` as an int, refused with :class:`DomainError` naming ``name``
+    unless it is a whole number >= ``least``.  Numpy integers and integral
+    floats pass; bools, NaN and infinities do not."""
+    whole = not isinstance(n, bool) and (
+        isinstance(n, numbers.Integral) or isinstance(n, numbers.Real) and float(n).is_integer()
+    )
+    if not (whole and n >= least):
+        raise DomainError(f"{name} must be a whole number >= {least}, got {n!r}")
+    return int(n)
+
+
+def _bisect(high, lo, hi, steps):
+    """``steps`` halvings of the brackets (lo, hi) at once: where
+    ``high(mid)`` holds, hi moves to mid, elsewhere lo does."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        above = high(mid)
+        lo = np.where(above, lo, mid)
+        hi = np.where(above, mid, hi)
+    return lo, hi
+
+
 def _snap(t):
     """Snap values of ``t = n*x`` that sit within rounding noise of an integer."""
     r = np.rint(t)
@@ -206,7 +229,7 @@ class Copula(abc.ABC):
 
     def discretize(self, n):
         """Checkerboard approximation at resolution n (exact cell masses)."""
-        return self._discretize(_check_resolution(n))
+        return self._discretize(_check_count(n, "n"))
 
     def _discretize(self, n):
         g = np.linspace(0.0, 1.0, n + 1)
@@ -236,20 +259,16 @@ class Copula(abc.ABC):
         one).  w = 0 gives 0 exactly.  Where d1 C(u, .) is nearly flat, its
         rounding limits the result to about 1e-16 over the conditional
         density."""
+        def high(t):
+            return self._partial(1, u, t, "right") >= w
+
         shape = np.broadcast_shapes(u.shape, w.shape)
-        lo = np.zeros(shape)
-        hi = np.ones(shape)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            above = self._partial(1, u, mid, "right") >= w
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
+        _, hi = _bisect(high, np.zeros(shape), np.ones(shape), 60)
         return np.where(w == 0.0, 0.0, hi)  # inf{t : d1 C(u, t) >= 0} = 0
 
     def sample(self, count, seed):
         """``count`` i.i.d. pairs, deterministic for a given ``seed``."""
-        if count < 1:
-            raise DomainError("count must be >= 1")
+        count = _check_count(count, "count")
         rng = np.random.default_rng(seed)
         u = rng.random(count)
         w = np.maximum(rng.random(count), 1e-300)
@@ -279,13 +298,6 @@ def _fd_partial(f, u, v, axis):
     if axis == 0:
         return (f(hi, v) - f(lo, v)) / (2.0 * h)
     return (f(u, hi) - f(u, lo)) / (2.0 * h)
-
-
-def _check_resolution(n):
-    n = int(n)
-    if n < 1:
-        raise DomainError("resolution must be a positive integer")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +342,7 @@ class GridCopula(Copula):
             raise InvariantError("matrix must be nonnegative and finite")
         if a.sum(axis=1).min() == 0.0 or a.sum(axis=0).min() == 0.0:
             raise InvariantError("matrix has a zero row or column, so no rebalancing exists")
-        for _ in range(max_iter):
+        for _ in range(_check_count(max_iter, "max_iter")):
             a /= a.sum(axis=1, keepdims=True)
             a /= a.sum(axis=0, keepdims=True)
             if (
@@ -395,9 +407,7 @@ class GridCopula(Copula):
 
     def refined(self, factor):
         """Equivalent checkerboard on the (factor*n)-grid (same copula)."""
-        r = int(factor)
-        if r < 1:
-            raise DomainError("refinement factor must be >= 1")
+        r = _check_count(factor, "factor")
         if r == 1:
             return self
         return GridCopula._trusted(np.kron(self.matrix, np.full((r, r), 1.0 / r)))
@@ -478,7 +488,21 @@ def _line_derivative(sums, a, x, y, side):
 # ---------------------------------------------------------------------------
 
 
-class IndependenceCopula(Copula):
+class _ConstantCopula(Copula):
+    """A copula without parameters (Pi, M and W): the instances of one class
+    are equal and hash alike, and print as ``Name()``."""
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
+
+    def __eq__(self, other):
+        return isinstance(other, type(self))
+
+    def __hash__(self):
+        return hash(type(self))
+
+
+class IndependenceCopula(_ConstantCopula):
     """C(u, v) = u v."""
 
     def _cdf(self, u, v):
@@ -501,17 +525,8 @@ class IndependenceCopula(Copula):
     def to_spec(self):
         return {"type": "product"}
 
-    def __repr__(self):
-        return "IndependenceCopula()"
 
-    def __eq__(self, other):
-        return isinstance(other, IndependenceCopula)
-
-    def __hash__(self):
-        return hash(type(self))
-
-
-class UpperFrechetCopula(Copula):
+class UpperFrechetCopula(_ConstantCopula):
     """Upper Frechet-Hoeffding bound C(u, v) = min(u, v) (comonotone)."""
 
     def _cdf(self, u, v):
@@ -542,17 +557,8 @@ class UpperFrechetCopula(Copula):
     def to_spec(self):
         return {"type": "frechet-upper"}
 
-    def __repr__(self):
-        return "UpperFrechetCopula()"
 
-    def __eq__(self, other):
-        return isinstance(other, UpperFrechetCopula)
-
-    def __hash__(self):
-        return hash(type(self))
-
-
-class LowerFrechetCopula(Copula):
+class LowerFrechetCopula(_ConstantCopula):
     """Lower Frechet-Hoeffding bound C(u, v) = max(u + v - 1, 0)."""
 
     def _cdf(self, u, v):
@@ -582,15 +588,6 @@ class LowerFrechetCopula(Copula):
     def to_spec(self):
         return {"type": "frechet-lower"}
 
-    def __repr__(self):
-        return "LowerFrechetCopula()"
-
-    def __eq__(self, other):
-        return isinstance(other, LowerFrechetCopula)
-
-    def __hash__(self):
-        return hash(type(self))
-
 
 @dataclass(frozen=True, eq=False)
 class TransposedCopula(Copula):
@@ -613,10 +610,7 @@ class TransposedCopula(Copula):
     def conditional_knots(self, u):
         # d1 of the transpose at (u, t) is d2 of the base at (t, u); its
         # non-smooth points in t are the base's u-knots plus any ridge
-        knots = list(self.base.knots_u())
-        for ridge in self.base.conditional_knots(u):
-            knots.append(ridge)
-        return tuple(knots)
+        return (*self.base.knots_u(), *self.base.conditional_knots(u))
 
     def to_spec(self):
         return {"type": "transpose", "of": self.base.to_spec()}
@@ -661,8 +655,9 @@ class StepFunction:
     @staticmethod
     def indicator_upto(n, j):
         """Indicator of [0, j/n] as a step function (1 on the first j cells)."""
-        n = _check_resolution(n)
-        if not 0 <= j <= n:
+        n = _check_count(n, "n")
+        j = _check_count(j, "j", least=0)
+        if j > n:
             raise DomainError(f"j must be in 0..{n}")
         vals = np.zeros(n)
         vals[:j] = 1.0
@@ -714,7 +709,7 @@ class IntervalFamily:
         Raises :class:`DomainError` when an endpoint is not a multiple of
         1/n within ``tol``, suggesting the nearest aligned family.
         """
-        n = _check_resolution(n)
+        n = _check_count(n, "n")
         ranges = []
         for a, b in self.intervals:
             ia, ib = a * n, b * n
@@ -724,7 +719,7 @@ class IntervalFamily:
                     f"interval ({a}, {b}) is not aligned to the 1/{n} grid; "
                     f"nearest aligned interval is ({ra / n}, {rb / n})"
                 )
-            ranges.append((int(ra), int(rb)))
+            ranges.append((ra, rb))
         return ranges
 
     def to_list(self):

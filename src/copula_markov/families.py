@@ -24,6 +24,7 @@ from .core import (
     InvariantError,
     IntervalFamily,
     UpperFrechetCopula,
+    _check_count,
     _fd_partial,
 )
 
@@ -110,14 +111,20 @@ class ArchimedeanGenerator:
         vals = np.asarray(self.phi(t), dtype=float)
         if np.any(np.diff(vals) > 1e-12):
             raise InvariantError(f"generator {self.name}: phi is not decreasing")
-        dt = np.diff(t)
-        keep = dt > 0
-        slopes = np.diff(vals)[keep] / dt[keep]
-        # slopes diverge near t = 0 for generators with phi'(0+) = -inf, so
-        # the convexity slack must scale with the slope magnitude
-        slack = 1e-9 * np.maximum(1.0, np.abs(slopes[:-1]))
-        if np.any(np.diff(slopes) < -slack):
+        if not _chord_convex(t, vals, 1e-9):
             raise InvariantError(f"generator {self.name}: phi is not convex")
+
+
+def _chord_convex(t, g, tol):
+    """Whether g is convex over the sorted points t: its chord slopes
+    (repeated points skipped) never fall by more than tol times
+    max(1, |slope|).  The slack is relative because the slopes of a
+    generator diverge near t = 0 where phi'(0+) = -inf."""
+    dt = np.diff(t)
+    keep = dt > 0
+    slopes = np.diff(g)[keep] / dt[keep]
+    slack = tol * np.maximum(1.0, np.abs(slopes[:-1]))
+    return bool(np.all(np.diff(slopes) >= -slack))
 
 
 def independence_generator():
@@ -312,6 +319,7 @@ def is_si_archimedean(gen: ArchimedeanGenerator, tol=1e-9, points=1001):
     Raises :class:`InconclusiveError` when the generator carries no
     derivative evaluator (not differentiable != not SI).
     """
+    points = _check_count(points, "points", least=3)
     if gen.phi_prime is None:
         raise InconclusiveError(
             f"generator {gen.name} has no derivative; SI criterion is inconclusive"
@@ -324,10 +332,7 @@ def is_si_archimedean(gen: ArchimedeanGenerator, tol=1e-9, points=1001):
         raise InconclusiveError(
             f"generator {gen.name}: phi' must be negative on the audit grid"
         )
-    g = np.log(-d)
-    slopes = np.diff(g) / np.diff(t)
-    slack = tol * np.maximum(1.0, np.abs(slopes[:-1]))
-    return bool(np.all(np.diff(slopes) >= -slack))
+    return _chord_convex(t, np.log(-d), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,9 +471,7 @@ class PickandsFunction:
         t = np.asarray(t, dtype=float)
         if self.deriv is not None:
             return np.asarray(self.deriv(t), dtype=float)
-        h = 1e-6
-        lo = np.clip(t - h, 0.0, 1.0 - 2 * h)
-        return (self.func(lo + 2 * h) - self.func(lo)) / (2 * h)
+        return _fd_partial(lambda x, _: self.func(x), t, None, axis=0)
 
 
 def independence_pickands():

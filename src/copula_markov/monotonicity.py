@@ -25,6 +25,7 @@ from .core import (
     IndependenceCopula,
     StepFunction,
     UpperFrechetCopula,
+    _check_count,
     _check_tol,
     _Record,
     _running_sums,
@@ -75,6 +76,8 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
     if component not in (1, 2):
         raise DomainError("component must be 1 or 2")
     _check_tol(tol)
+    u_points = _check_count(u_points, "u_points", least=3)
+    v_points = _check_count(v_points, "v_points")
     if isinstance(c, GridCopula):
         # the running sums along the rows of the matrix (of its transpose
         # for component 2) are the conditional laws d1 C(k/n, l/n)
@@ -93,7 +96,7 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
         vals = np.asarray(work.cdf(u[:, None], v[None, :]))
         # second differences of the sections: > 0 breaks concavity (SI)
         steps = vals[:-2, :] + vals[2:, :] - 2.0 * vals[1:-1, :]
-        u1, u2, v, method = u[:-2].tolist(), u[2:].tolist(), v.tolist(), "grid-certified"
+        u1, u2, v, method = u[:-2], u[2:], v, "grid-certified"
     si_worst = float(steps.max())
     sd_worst = float(-steps.min())
     k, l = np.unravel_index(np.argmax(steps), steps.shape)
@@ -102,7 +105,7 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
         sd=sd_worst <= tol,
         component=component,
         max_violation=max(si_worst, 0.0),
-        witness=(u1[k], u2[k], v[l]),
+        witness=(float(u1[k]), float(u2[k]), float(v[l])),
         method=method,
     )
 
@@ -214,8 +217,7 @@ def operator_preserves_monotone(c: Copula, f: StepFunction, tol=1e-9) -> bool:
     the image is decreasing within ``tol``."""
     if not f.is_decreasing(tol=1e-12):
         raise DomainError("f must be decreasing")
-    image = operator_of(c, f.n).apply(f)
-    return bool(np.all(np.diff(image.values) <= tol))
+    return operator_of(c, f.n).apply(f).is_decreasing(tol)
 
 
 @dataclass(frozen=True)
@@ -258,8 +260,8 @@ def empirical_si_check(
     for an SI copula and decreasing f no increase should clear the band.
     Bins with fewer than 50 samples flag the report as insufficient.
     """
-    if samples < 1 or bins < 2:
-        raise DomainError("need samples >= 1 and bins >= 2")
+    samples = _check_count(samples, "samples")
+    bins = _check_count(bins, "bins", least=2)
     _check_tol(z, positive=True, name="z")
     func = _as_decreasing_function(f)
     pairs = c.sample(samples, seed)

@@ -20,6 +20,7 @@ from .core import (
     GridCopula,
     IntervalFamily,
     StepFunction,
+    _check_count,
     _check_tol,
     _trusted_carrier,
     _validate_doubly_stochastic,
@@ -88,17 +89,20 @@ def conditional_expectation_form(intervals, n: int) -> DiscreteMarkovOperator:
 
     Interval endpoints must be multiples of 1/n; misaligned families are
     rejected with the nearest aligned suggestion.  The result is an
-    idempotent Markov operator.
+    idempotent Markov operator, doubly stochastic by construction (each
+    block row and column averages over its own block), so it is not
+    validated again.
     """
+    n = _check_count(n, "n")
     if not isinstance(intervals, IntervalFamily):
         intervals = IntervalFamily.from_list(intervals)
-    a = np.eye(int(n))
+    a = np.eye(n)
     for start, stop in intervals.aligned_cell_ranges(n):
         size = stop - start
         a[start:stop, start:stop] = 1.0 / size
         a[start:stop, :start] = 0.0
         a[start:stop, stop:] = 0.0
-    return DiscreteMarkovOperator(a)
+    return DiscreteMarkovOperator._trusted(a)
 
 
 def fixed_sigma_field(op: DiscreteMarkovOperator, tol=1e-9):
