@@ -383,26 +383,6 @@ class IterateReport(_Record):
     _json_skip = ("steps",)
 
 
-class _Slot:
-    """A one-item handoff between two threads: ``put`` fills it without
-    waiting, ``take`` waits until it is full and empties it.  Its two users
-    alternate, so it holds at most one item, except that a stop request may
-    replace a request the worker has not taken yet."""
-
-    def __init__(self):
-        self._full = threading.Semaphore(0)
-        self._item = None
-
-    def put(self, item):
-        self._item = item
-        self._full.release()
-
-    def take(self):
-        self._full.acquire()
-        item, self._item = self._item, None
-        return item
-
-
 def iterate_to_limit(
     c: Copula,
     tol=1e-8,
@@ -421,11 +401,15 @@ def iterate_to_limit(
 
     The next product needs only the current iterate, so it runs on one
     worker thread while this thread measures the current step's gaps
-    (numpy's matmul releases the GIL).  Only the matmul runs there; the
-    results are those of the serial loop, and a product computed past the
-    last step is discarded (an error it raises is not).  The worker is
-    joined before this returns or raises.
+    (numpy's matmul releases the GIL).  Two queues carry the work: one
+    takes iterates to the worker, the other brings back each product, or
+    the exception that stopped the worker, which is raised here.  Only the
+    matmul runs there; the results are those of the serial loop, and a
+    product computed past the last step is discarded (an error it raises
+    is not).  The worker is joined before this returns or raises.
     """
+    import queue
+
     from .monotonicity import check_si
 
     _check_tol(tol, positive=True)
@@ -436,22 +420,23 @@ def iterate_to_limit(
     if not verdict.si:
         raise NotStochasticallyIncreasingError(verdict)
 
-    # the worker takes a matrix m from ``requests`` and hands back base @ m
-    # through ``products``, or None after an error; None in ``requests``
+    # the worker takes a matrix m from ``requests`` and puts base @ m on
+    # ``products``, or the exception that stopped it; None in ``requests``
     # stops it
-    requests, products = _Slot(), _Slot()
-    failure = []
+    requests, products = queue.SimpleQueue(), queue.SimpleQueue()
 
     def multiply():
-        m = requests.take()
-        while m is not None:
-            try:
+        try:
+            while (m := requests.get()) is not None:
                 products.put(np.matmul(base.matrix, m))
-            except BaseException as exc:
-                failure.append(exc)
-                products.put(None)
-                return
-            m = requests.take()
+        except BaseException as exc:
+            products.put(exc)
+
+    def take():
+        product = products.get()
+        if isinstance(product, BaseException):
+            raise product
+        return product
 
     current = base
     steps = []
@@ -462,10 +447,7 @@ def iterate_to_limit(
     try:
         requests.put(base.matrix)
         for step in range(1, max_iter + 1):
-            product = products.take()
-            if product is None:
-                break  # the worker's error is raised below
-            nxt = GridCopula._trusted(product)
+            nxt = GridCopula._trusted(take())
             if step < max_iter:
                 requests.put(nxt.matrix)
             # the sup gap and the largest increase, from one corner difference
@@ -477,13 +459,11 @@ def iterate_to_limit(
             if sup_gap < tol:
                 converged = True
                 if step < max_iter:
-                    products.take()  # a product past the last step is discarded, its error is not
+                    take()  # a product past the last step is discarded, its error is not
                 break
     finally:
         requests.put(None)
         worker.join()
-    if failure:
-        raise failure[0]
 
     if converged:
         intervals = extract_pi_ordinal_structure(current, tol=interval_tol).intervals
@@ -551,9 +531,13 @@ def extract_pi_ordinal_structure(c: Copula, tol=1e-6, scan=1024) -> PiDecomposit
             f"at {idem.witness})"
         )
 
-    m = c.n if isinstance(c, GridCopula) else scan
+    closed = not isinstance(c, GridCopula)
+    m = scan if closed else c.n
     points = np.arange(1, m) / m
-    gaps = _diagonal_gap(c, points)
+    # a closed form also probes beside 0 and 1, in the same cdf call
+    probes = [4 * _EDGE_EPS, 1.0 - 4 * _EDGE_EPS] if closed else []
+    gaps = _diagonal_gap(c, np.concatenate([points, probes]))
+    gaps, probe_gaps = gaps[: m - 1], gaps[m - 1 :]
     # the scan padded with 0 and 1, which count as fixed: the runs of free
     # points start and stop at the edges between unlike neighbours, and
     # each run end lies between the fixed and the free point of its edge
@@ -563,12 +547,14 @@ def extract_pi_ordinal_structure(c: Copula, tol=1e-6, scan=1024) -> PiDecomposit
     edge = np.flatnonzero(free[1:] != free[:-1])
     fixed, loose = edge + free[edge], edge + ~free[edge]  # the two points of each edge
     ends = padded[fixed]
-    # an end at a pad is 0 or 1 and a grid's ends are its corners; a closed
-    # form bisects every other end between the two points of its edge
-    inner = (fixed > 0) & (fixed < m)
-    if not isinstance(c, GridCopula) and inner.any():
-        fixed, loose = fixed[inner], loose[inner]
-        ends[inner] = _refine_edges(c, padded[fixed], padded[loose], padded_gaps[fixed])
+    # a grid's ends are its corners; a closed form keeps an end at a pad
+    # (0 or 1) only where the probe beside that pad is free, and bisects
+    # every other end between the two points of its edge
+    if closed:
+        bisected = ~np.isin(fixed, np.array([0, m])[probe_gaps > _EDGE_EPS])
+        if bisected.any():
+            fixed, loose = fixed[bisected], loose[bisected]
+            ends[bisected] = _refine_edges(c, padded[fixed], padded[loose], padded_gaps[fixed])
     intervals = [(float(a), float(b)) for a, b in zip(ends[::2], ends[1::2])]
 
     if m == 1:

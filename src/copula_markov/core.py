@@ -707,7 +707,8 @@ class IntervalFamily:
         """Intervals as (start, stop) cell-index ranges on the n-grid.
 
         Raises :class:`DomainError` when an endpoint is not a multiple of
-        1/n within ``tol``, suggesting the nearest aligned family.
+        1/n within ``tol``, suggesting the nearest aligned family, and when
+        an interval is narrower than one cell, so that it holds no cell.
         """
         n = _check_count(n, "n")
         ranges = []
@@ -719,6 +720,8 @@ class IntervalFamily:
                     f"interval ({a}, {b}) is not aligned to the 1/{n} grid; "
                     f"nearest aligned interval is ({ra / n}, {rb / n})"
                 )
+            if ra == rb:
+                raise DomainError(f"interval ({a}, {b}) is narrower than one cell of the 1/{n} grid")
             ranges.append((ra, rb))
         return ranges
 

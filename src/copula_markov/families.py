@@ -25,6 +25,7 @@ from .core import (
     IntervalFamily,
     UpperFrechetCopula,
     _check_count,
+    _check_tol,
     _fd_partial,
 )
 
@@ -319,6 +320,7 @@ def is_si_archimedean(gen: ArchimedeanGenerator, tol=1e-9, points=1001):
     Raises :class:`InconclusiveError` when the generator carries no
     derivative evaluator (not differentiable != not SI).
     """
+    _check_tol(tol)
     points = _check_count(points, "points", least=3)
     if gen.phi_prime is None:
         raise InconclusiveError(

@@ -914,6 +914,19 @@ def test_extract_structure_bisects_every_edge_at_once(pi, monkeypatch, intervals
     assert len(calls) == 1 + (80 if inner_ends else 0) + len(intervals)
 
 
+@pytest.mark.parametrize(
+    "interval, scan",
+    [((0.0005, 0.5), 1024), ((0.5, 0.9995), 1024), ((0.1, 0.4), 8)],
+)
+def test_extract_structure_bisects_block_ends_beside_a_pad(pi, interval, scan):
+    # the run of free scan points reaches the first or last scan point, yet
+    # the block stops short of 0 or 1 inside that scan cell
+    result = extract_pi_ordinal_structure(ordinal_sum([interval], [pi]), scan=scan)
+    ((a, b),) = result.intervals
+    assert a == pytest.approx(interval[0], abs=1e-11)
+    assert b == pytest.approx(interval[1], abs=1e-11)
+
+
 def test_extract_structure_requires_idempotent_input(checker3):
     with pytest.raises(DomainError):
         extract_pi_ordinal_structure(checker3)
@@ -931,7 +944,7 @@ def test_extract_structure_flags_non_monotone_idempotents():
 
 
 def test_iterate_does_not_load_the_thread_pool():
-    # one thread and a one-slot handoff carry the pipelined products
+    # one thread and two stdlib queues carry the pipelined products
     src = os.path.dirname(os.path.dirname(core.__file__))
     probe = (
         "import sys, numpy as np; from copula_markov import GridCopula, iterate_to_limit; "

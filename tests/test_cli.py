@@ -252,12 +252,12 @@ def test_iterate_refuses_empty_or_endless_runs(specs, capsys, option, value, wor
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
-    # iterate imports its executor when it runs, not at every start, and
+    # iterate imports its queues when it runs, not at every start, and
     # no command needs scipy
     src = os.path.dirname(os.path.dirname(copula_markov.__file__))
     probe = (
         "import sys, copula_markov.cli; "
-        "print([m for m in ('concurrent.futures', 'scipy') if m in sys.modules])"
+        "print([m for m in ('concurrent.futures', 'queue', 'scipy') if m in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(

@@ -25,6 +25,7 @@ from copula_markov import (
     fixed_sigma_field,
     gumbel_pickands,
     is_idempotent,
+    is_si_archimedean,
     iterate_to_limit,
     load_copula,
     operator_of,
@@ -214,6 +215,7 @@ def tolerance_entries():
         "iterate_to_limit.interval_tol": lambda tol: iterate_to_limit(g, interval_tol=tol),
         "DiscreteMarkovOperator.is_idempotent": lambda tol: op.is_idempotent(tol=tol),
         "fixed_sigma_field": lambda tol: fixed_sigma_field(op, tol=tol),
+        "is_si_archimedean": lambda tol: is_si_archimedean(clayton_generator(2.0), tol=tol),
     }
 
 

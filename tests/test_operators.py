@@ -163,6 +163,13 @@ def test_misaligned_intervals_rejected_with_suggestion():
     assert "nearest aligned" in str(err.value)
 
 
+def test_interval_narrower_than_one_cell_rejected():
+    # both ends round to the same corner within the alignment tolerance,
+    # so the interval holds no cell to average over
+    with pytest.raises(DomainError, match=r"\(0\.1, 0\.1000000005\) is narrower than one cell"):
+        conditional_expectation_form([(0.1, 0.1 + 5e-10)], 10)
+
+
 # ---------------------------------------------------------------------------
 # fixed sigma-fields
 # ---------------------------------------------------------------------------
