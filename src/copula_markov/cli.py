@@ -10,28 +10,29 @@ refinement cap of the product.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
-from . import algebra, metrics, monotonicity
+from . import metrics
 from .algebra import (
     DEFAULT_RESOLUTION,
     DecompositionError,
     NotStochasticallyIncreasingError,
     extract_pi_ordinal_structure,
+    is_idempotent,
     iterate_to_limit,
     markov_product,
     quadrature_markov_product,
 )
 from .core import CopulaError, DomainError, GridCopula, _check_count
+from .monotonicity import check_complete_dependence, check_quadrant_dependence, check_si
 from .serialize import _write_json, load_copula, save_copula
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    _write_json(obj, sys.stdout)
 
 
 def _fail(message: str) -> int:
@@ -39,24 +40,28 @@ def _fail(message: str) -> int:
     return 2
 
 
+#: each --property: its verdict call and the verdict field that decides "holds"
+_PROPERTIES = {
+    "si1": (lambda c, a: check_si(c, 1, a.tol), "si"),
+    "si2": (lambda c, a: check_si(c, 2, a.tol), "si"),
+    "sd1": (lambda c, a: check_si(c, 1, a.tol), "sd"),
+    "sd2": (lambda c, a: check_si(c, 2, a.tol), "sd"),
+    "idempotent": (lambda c, a: is_idempotent(c, a.tol, a.resolution), "idempotent"),
+    "pqd": (lambda c, a: check_quadrant_dependence(c, a.tol), "pqd"),
+    "nqd": (lambda c, a: check_quadrant_dependence(c, a.tol), "nqd"),
+    "complete-dependence": (
+        lambda c, a: check_complete_dependence(c, a.tol, a.resolution),
+        "completely_dependent",
+    ),
+}
+
+
 def cmd_check(args) -> int:
     c = load_copula(args.spec)
-    tol = args.tol
-    prop = args.property
-    if prop in ("si1", "si2", "sd1", "sd2"):
-        component = int(prop[-1])
-        verdict = monotonicity.check_si(c, component=component, tol=tol)
-        holds = verdict.si if prop.startswith("si") else verdict.sd
-    elif prop == "idempotent":
-        verdict = algebra.is_idempotent(c, tol=tol, resolution=args.resolution)
-        holds = verdict.idempotent
-    elif prop in ("pqd", "nqd"):
-        verdict = monotonicity.check_quadrant_dependence(c, tol=tol)
-        holds = verdict.pqd if prop == "pqd" else verdict.nqd
-    else:  # complete-dependence, the last of the choices argparse allows
-        verdict = monotonicity.check_complete_dependence(c, tol=tol, resolution=args.resolution)
-        holds = verdict.completely_dependent
-    _emit({"property": prop, "holds": bool(holds), **verdict.to_json()})
+    verdict_of, field = _PROPERTIES[args.property]
+    verdict = verdict_of(c, args)
+    holds = bool(getattr(verdict, field))
+    _emit({"property": args.property, "holds": holds, **verdict.to_json()})
     return 0 if holds else 1
 
 
@@ -97,14 +102,16 @@ def cmd_iterate(args) -> int:
     except NotStochasticallyIncreasingError as exc:
         _emit({"error": "not stochastically increasing", **exc.verdict.to_json()})
         return 1
+    summary = report.to_json()
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        _write_json(report.to_json(), os.path.join(args.out_dir, "report.json"))
+        with open(os.path.join(args.out_dir, "report.json"), "w", encoding="utf-8") as fh:
+            _write_json(summary, fh)
         with open(os.path.join(args.out_dir, "steps.csv"), "w", encoding="utf-8") as fh:
             fh.write("step,d_inf_gap,d1_gap\n")
             for step, dinf_gap, d1_gap in report.steps:
                 fh.write(f"{step},{dinf_gap:.17g},{d1_gap:.17g}\n")
-    _emit(report.to_json())
+    _emit(summary)
     return 0 if report.converged else 3
 
 
@@ -137,29 +144,36 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+#: each --metric: its function and the number of specs it reads
+_METRICS = {
+    "dinf": (metrics.d_inf, 2),
+    "d1": (metrics.d1_metric, 2),
+    "sobolev-diag": (metrics.sobolev_diagonal, 1),
+}
+
+
 def cmd_metric(args) -> int:
+    metric, arity = _METRICS[args.metric]
     a = load_copula(args.spec_a)
-    if args.metric == "sobolev-diag":
-        value = metrics.sobolev_diagonal(a)
+    if arity == 1:
+        value = metric(a)
         b_name = None
     else:
         if not args.spec_b:
             raise DomainError(f"metric {args.metric} needs two specs")
-        b = load_copula(args.spec_b)
-        if args.metric == "dinf":
-            value = metrics.d_inf(a, b)
-        else:
-            value = metrics.d1_metric(a, b)
+        value = metric(a, load_copula(args.spec_b))
         b_name = args.spec_b
-    _emit(
-        {
-            "metric": args.metric,
-            "value": value,
-            "copula_a": args.spec_a,
-            "copula_b": b_name,
-        }
-    )
+    _emit({"metric": args.metric, "value": value, "copula_a": args.spec_a, "copula_b": b_name})
     return 0
+
+
+def _add_resolution(p) -> None:
+    p.add_argument(
+        "--resolution",
+        type=int,
+        default=DEFAULT_RESOLUTION,
+        help=f"grid resolution for closed-form inputs (default {DEFAULT_RESOLUTION})",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,27 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="test a property of a copula spec")
     p.add_argument("spec", help="spec file (.json) or checkerboard matrix (.csv)")
-    p.add_argument(
-        "--property",
-        required=True,
-        choices=[
-            "si1",
-            "si2",
-            "sd1",
-            "sd2",
-            "idempotent",
-            "pqd",
-            "nqd",
-            "complete-dependence",
-        ],
-    )
+    p.add_argument("--property", required=True, choices=list(_PROPERTIES))
     p.add_argument("--tol", type=float, default=1e-9, help="tolerance (default 1e-9)")
-    p.add_argument(
-        "--resolution",
-        type=int,
-        default=DEFAULT_RESOLUTION,
-        help="grid resolution for closed-form inputs (default 128)",
-    )
+    _add_resolution(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("product", help="Markov product of two specs")
@@ -209,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="quadrature panel count (default: the result resolution)",
     )
-    p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
+    _add_resolution(p)
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("iterate", help="iterate a copula to its idempotent limit")
@@ -224,12 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e-6,
         help="diagonal fixed-point tolerance (default 1e-6)",
     )
-    p.add_argument(
-        "--resolution",
-        type=int,
-        default=DEFAULT_RESOLUTION,
-        help="grid resolution for closed-form inputs (default 128)",
-    )
+    _add_resolution(p)
     p.add_argument("--out-dir", help="write report.json and steps.csv here")
     p.set_defaults(func=cmd_iterate)
 
@@ -263,9 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metric", help="distance or functional between specs")
     p.add_argument("spec_a")
     p.add_argument("spec_b", nargs="?", default=None)
-    p.add_argument(
-        "--metric", required=True, choices=["dinf", "d1", "sobolev-diag"]
-    )
+    p.add_argument("--metric", required=True, choices=list(_METRICS))
     p.set_defaults(func=cmd_metric)
 
     return parser

@@ -138,24 +138,24 @@ def d1_metric(c1: Copula, c2: Copula) -> float:
     refinement cap of :func:`copula_markov.algebra.markov_product`, and
     integrated exactly (the derivative gap is piecewise linear in v and
     constant in u on each cell).  A grid paired with a closed-form copula
-    discretizes the latter onto a refinement of the grid with at least 128
-    cells per axis.  Closed-form pairs use one fixed rule: Gauss-Legendre
-    (12 nodes on 24 panels) in u between the u-knots of both operands, and
-    at each u-node the midpoint rule in t on 2048 uniform cells joined with
-    the slice's knots.  The rule is exact where the gap is linear and of
+    discretizes the latter onto a refinement of the grid with at least
+    ``algebra.DEFAULT_RESOLUTION`` (128) cells per axis.  Closed-form pairs
+    use one fixed rule: Gauss-Legendre (12 nodes on 24 panels) in u
+    between the u-knots of both operands, and at each u-node the midpoint
+    rule in t on 2048 uniform cells joined with the slice's knots.  The rule is exact where the gap is linear and of
     one sign between knots (Pi, M, W and their ordinal sums) and second
     order elsewhere.
     """
     grids = [c.n for c in (c1, c2) if isinstance(c, GridCopula)]
-    if len(grids) == 2:
-        from .algebra import _common_resolution
+    if not grids:
+        return _d1_slices(c1, c2)
+    from .algebra import DEFAULT_RESOLUTION, _common_resolution
 
+    if len(grids) == 2:
         n = _common_resolution(c1, c2)
-        return _d1_grids(c1.discretize(n), c2.discretize(n))
-    if grids:
-        n = grids[0] * max(1, -(-128 // grids[0]))
-        return _d1_grids(c1.discretize(n), c2.discretize(n))
-    return _d1_slices(c1, c2)
+    else:
+        n = grids[0] * max(1, -(-DEFAULT_RESOLUTION // grids[0]))
+    return _d1_grids(c1.discretize(n), c2.discretize(n))
 
 
 def _d1_grids(g1: GridCopula, g2: GridCopula) -> float:

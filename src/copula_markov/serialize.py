@@ -70,7 +70,9 @@ def _family(spec, table):
     """The member of ``table`` named by the spec's family and theta."""
     family = spec.get("family")
     if not isinstance(family, str) or family not in table:
-        raise SpecError(f"unknown {spec['type']} family {family!r}")
+        raise SpecError(
+            f"unknown {spec['type']} family {family!r} (known: {', '.join(sorted(table))})"
+        )
     if family in ("independence", "comonotone"):  # no parameter, "theta": null
         return table[family]()
     theta = spec.get("theta")
@@ -136,6 +138,10 @@ def load_copula(path) -> Copula:
 
 
 def save_copula(c: Copula, path) -> None:
+    """Write ``c`` as a JSON spec, or a CSV matrix when the path ends in
+    .csv.  A spec that :func:`copula_from_spec` refuses raises
+    :class:`SpecError` "cannot save: ..." before the file is opened; a
+    checkerboard spec always loads, so it is not re-read."""
     if not isinstance(c, Copula):
         raise SpecError(f"cannot save: {type(c).__name__} is not a copula")
     path = str(path)
@@ -145,16 +151,21 @@ def save_copula(c: Copula, path) -> None:
         matrix_to_csv(c.matrix, path)
         return
     spec = c.to_spec()
-    _refuse_unloadable(spec)
-    _write_json(spec, path)
-
-
-def _write_json(obj, path) -> None:
-    """Write ``obj`` to ``path`` as ``json.dump(obj, fh, sort_keys=True)``
-    does, plus a newline."""
+    if spec["type"] != "checkerboard":
+        try:
+            copula_from_spec(spec)
+        except CopulaError as exc:
+            raise SpecError(f"cannot save: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        _write_value(obj, fh)
-        fh.write("\n")
+        _write_json(spec, fh)
+
+
+def _write_json(obj, fh) -> None:
+    """Write ``obj`` to the open text file ``fh`` as
+    ``json.dump(obj, fh, sort_keys=True)`` does, plus a newline: saved
+    specs, CLI files and CLI stdout all go through it."""
+    _write_value(obj, fh)
+    fh.write("\n")
 
 
 def _write_value(obj, fh):
@@ -174,22 +185,6 @@ def _write_value(obj, fh):
         fh.write("]")
     else:
         fh.write(json.dumps(obj, sort_keys=True))
-
-
-def _refuse_unloadable(spec) -> None:
-    """Raise :class:`SpecError` for a family :func:`copula_from_spec` would
-    not know (tabulated generators, custom Pickands functions), anywhere
-    in the spec tree."""
-    table = {"archimedean": _ARCHIMEDEAN, "extreme-value": _PICKANDS}.get(spec["type"])
-    if table is not None and spec["family"] not in table:
-        raise SpecError(
-            f"cannot save: {spec['type']} family {spec['family']!r} has no "
-            f"loadable spec (known: {', '.join(sorted(table))})"
-        )
-    for sub in spec.get("components", []):
-        _refuse_unloadable(sub)
-    if "of" in spec:
-        _refuse_unloadable(spec["of"])
 
 
 def matrix_from_csv(path) -> np.ndarray:

@@ -273,6 +273,22 @@ def test_large_dense_products_stay_on_blas(rng, monkeypatch):
     assert calls == []
 
 
+def test_sparse_product_with_too_many_pairs_falls_back_to_blas(rng, monkeypatch):
+    # 12-permutation mixtures at 512 pass the nonzero gate (4 nnz ~ 24k) but
+    # fail the pair count (4 pairs ~ 290k) against the budget of 262,144
+    n = 512
+    a = random_doubly_stochastic(rng, n, n_perms=12)
+    b = random_doubly_stochastic(rng, n, n_perms=12)
+    budget = n**3 // algebra._SUPPORT_MARGIN - n * n
+    pairs = int(np.count_nonzero(a, axis=0) @ np.count_nonzero(b, axis=1))
+    assert algebra._PAIR_WEIGHT * np.count_nonzero(a) < budget
+    assert algebra._PAIR_WEIGHT * np.count_nonzero(b) < budget
+    assert algebra._PAIR_WEIGHT * pairs >= budget
+    calls = _count_support_products(monkeypatch)
+    assert algebra._matmul(a, b).tobytes() == (a @ b).tobytes()
+    assert calls == []
+
+
 def test_mixed_resolution_product_is_capped_before_allocating(rng):
     a = GridCopula(random_doubly_stochastic(rng, 23))
     b = GridCopula(random_doubly_stochastic(rng, 24))
@@ -479,6 +495,19 @@ def test_idempotent_ordinal_sum_resolves_componentwise(pi):
     verdict = is_idempotent(cop, tol=1e-12)
     assert verdict.idempotent
     assert verdict.gap == 0.0
+
+
+def test_idempotent_ordinal_sum_rescales_a_failing_component(checker3):
+    # the component's gap and witness shrink into its block (a, b)^2
+    cop = ordinal_sum([(0.25, 0.75)], [checker3])
+    verdict = is_idempotent(cop)
+    base = is_idempotent(checker3)
+    assert not verdict.idempotent and not base.idempotent
+    assert verdict.gap == 0.5 * base.gap
+    assert verdict.gap == is_idempotent(cop.discretize(12)).gap
+    assert verdict.gap == pytest.approx(1 / 27, abs=1e-15)
+    assert all(0.25 < w < 0.75 for w in verdict.witness)
+    assert verdict.witness == tuple(0.25 + 0.5 * w for w in base.witness)
 
 
 def test_idempotent_transposed_ordinal_sum(pi):

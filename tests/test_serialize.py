@@ -189,3 +189,34 @@ def test_save_refuses_families_the_loader_does_not_know(tmp_path):
         with pytest.raises(SpecError, match="cannot save"):
             save_copula(cop, path)
         assert not path.exists()
+
+
+def test_save_refuses_named_families_without_their_theta(tmp_path):
+    from copula_markov import (
+        ArchimedeanGenerator,
+        PickandsFunction,
+        archimedean_copula,
+        clayton_generator,
+        extreme_value_copula,
+        gumbel_pickands,
+    )
+
+    # a known family name is not enough: the loader needs the theta too
+    clayton = clayton_generator(2.0)
+    bare_clayton = ArchimedeanGenerator("clayton", clayton.phi, clayton.phi_inverse, clayton.phi_prime)
+    bare_gumbel = PickandsFunction("gumbel", gumbel_pickands(2.5).func)
+    for name, cop in [
+        ("clayton", archimedean_copula(bare_clayton)),
+        ("gumbel", extreme_value_copula(bare_gumbel)),
+    ]:
+        path = tmp_path / f"{name}.json"
+        with pytest.raises(SpecError, match="cannot save.*needs a numeric 'theta'"):
+            save_copula(cop, path)
+        assert not path.exists()
+
+
+def test_unknown_family_error_lists_the_known_ones():
+    with pytest.raises(SpecError, match=r"'gaussian' \(known: clayton, frank, gumbel, independence\)"):
+        copula_from_spec({"type": "archimedean", "family": "gaussian", "theta": 0.3})
+    with pytest.raises(SpecError, match=r"\(known: comonotone, gumbel, independence\)"):
+        copula_from_spec({"type": "extreme-value", "family": "husler-reiss", "theta": 1.0})
