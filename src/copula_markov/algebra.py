@@ -279,11 +279,11 @@ def quadrature_markov_product(c1: Copula, c2: Copula, panels: int):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         if u.ndim == 2 and u.shape[1] == 1 and v.shape in ((v.size,), (1, v.size)):
-            left = np.asarray(c1.partial_derivative(2, u, t))
-            right = np.asarray(c2.partial_derivative(1, t[:, None], v.reshape(-1)))
+            left = c1.partial_derivative(2, u, t)
+            right = c2.partial_derivative(1, t[:, None], v.reshape(-1))
             return left @ right / panels
-        left = np.asarray(c1.partial_derivative(2, u[..., None], t))
-        right = np.asarray(c2.partial_derivative(1, t, v[..., None]))
+        left = c1.partial_derivative(2, u[..., None], t)
+        right = c2.partial_derivative(1, t, v[..., None])
         out = (left * right).sum(axis=-1) / panels
         return out if out.shape else float(out)
 
@@ -496,7 +496,7 @@ class PiDecomposition(_Record):
 
 def _diagonal_gap(c: Copula, v):
     v = np.asarray(v, dtype=float)
-    return v - np.asarray(c.cdf(v, v))
+    return v - c.cdf(v, v)
 
 
 def _refine_edges(c, lo, hi, gap_lo):
@@ -569,7 +569,7 @@ def extract_pi_ordinal_structure(c: Copula, tol=1e-6, scan=1024) -> PiDecomposit
     target = s[:, None] * s[None, :]
     for a, b in family:
         width = b - a
-        vals = np.asarray(c.cdf(a + width * s[:, None], a + width * s[None, :]))
+        vals = c.cdf(a + width * s[:, None], a + width * s[None, :])
         block_gaps.append(float(np.max(np.abs((vals - a) / width - target))))
     max_gap = max(block_gaps) if block_gaps else 0.0
     if max_gap > 10.0 * tol:

@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .core import CopulaError, DomainError, GridCopula, _check_count
 from .monotonicity import check_complete_dependence, check_quadrant_dependence, check_si
-from .serialize import _write_json, load_copula, save_copula
+from .serialize import _write_csv, _write_json, load_copula, save_copula
 
 
 def _emit(obj) -> None:
@@ -73,18 +73,14 @@ def cmd_product(args) -> int:
     summary = {"out": args.out}
     if isinstance(result, GridCopula):
         summary["resolution"] = result.n
-    if args.oracle:
-        if not isinstance(result, GridCopula):
-            summary["oracle_max_discrepancy"] = 0.0
-        else:
-            # smallest multiple of the resolution accepted by the oracle
-            panels = args.panels or result.n * max(1, -(-8 // result.n))
-            quad = quadrature_markov_product(a, b, panels)
-            axis = np.arange(result.n + 1) / result.n
-            lattice = quad(axis[:, None], axis)
-            worst = float(np.max(np.abs(lattice - result.corner_cdf())))
-            summary["oracle_panels"] = panels
-            summary["oracle_max_discrepancy"] = worst
+    if args.oracle and isinstance(result, GridCopula):  # a short-circuit has no grid to check
+        # smallest multiple of the resolution accepted by the oracle
+        panels = args.panels or result.n * max(1, -(-8 // result.n))
+        quad = quadrature_markov_product(a, b, panels)
+        axis = np.arange(result.n + 1) / result.n
+        lattice = quad(axis[:, None], axis)
+        summary["oracle_panels"] = panels
+        summary["oracle_max_discrepancy"] = float(np.max(np.abs(lattice - result.corner_cdf())))
     _emit(summary)
     return 0
 
@@ -107,10 +103,8 @@ def cmd_iterate(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
         with open(os.path.join(args.out_dir, "report.json"), "w", encoding="utf-8") as fh:
             _write_json(summary, fh)
-        with open(os.path.join(args.out_dir, "steps.csv"), "w", encoding="utf-8") as fh:
-            fh.write("step,d_inf_gap,d1_gap\n")
-            for step, dinf_gap, d1_gap in report.steps:
-                fh.write(f"{step},{dinf_gap:.17g},{d1_gap:.17g}\n")
+        path = os.path.join(args.out_dir, "steps.csv")
+        _write_csv(path, np.array(report.steps), "%d,%.17g,%.17g", "step,d_inf_gap,d1_gap")
     _emit(summary)
     return 0 if report.converged else 3
 
@@ -119,16 +113,10 @@ def cmd_derivative_trace(args) -> int:
     c = load_copula(args.spec)
     m = _check_count(args.points, "points")
     x = (np.arange(m) + 0.5) / m
-    if args.component == 1:
-        values = np.asarray(c.partial_derivative(1, x, args.at))
-        header = "u,dC"
-    else:
-        values = np.asarray(c.partial_derivative(2, args.at, x))
-        header = "v,dC"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for xi, yi in zip(x, values):
-            fh.write(f"{xi:.17g},{yi:.17g}\n")
+    u, v = (x, args.at) if args.component == 1 else (args.at, x)
+    values = c.partial_derivative(args.component, u, v)
+    header = "u,dC" if args.component == 1 else "v,dC"
+    _write_csv(args.out, np.column_stack([x, values]), header=header)
     _emit({"out": args.out, "points": m, "component": args.component, "at": args.at})
     return 0
 

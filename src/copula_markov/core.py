@@ -70,6 +70,11 @@ def _check_unit(x, name):
     return arr
 
 
+def _public(x):
+    """A kernel's result as a public entry returns it: 0-d as a float."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def _check_tol(tol, positive=False, name="tol"):
     """Refuse a NaN or negative tolerance, and 0 where ``positive``."""
     if not (tol > 0 if positive else tol >= 0):
@@ -183,11 +188,13 @@ class Copula(abc.ABC):
 
     Kernels take float ndarrays in [0, 1] (0-d for scalars), broadcast
     their point arguments, and call each other, never the public entries.
+    They return numpy values, 0-d for scalar points; ``cdf`` and
+    ``partial_derivative`` hand a 0-d result out as a ``float``.
     """
 
     def cdf(self, u, v):
         """C(u, v).  Raises :class:`DomainError` outside the unit square."""
-        return self._cdf(_check_unit(u, "u"), _check_unit(v, "v"))
+        return _public(self._cdf(_check_unit(u, "u"), _check_unit(v, "v")))
 
     @abc.abstractmethod
     def _cdf(self, u, v):
@@ -211,7 +218,7 @@ class Copula(abc.ABC):
             raise DomainError(f"component must be 1 or 2, got {component!r}")
         if side not in ("left", "right"):
             raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-        return self._partial(component, _check_unit(u, "u"), _check_unit(v, "v"), side)
+        return _public(self._partial(component, _check_unit(u, "u"), _check_unit(v, "v"), side))
 
     def _partial(self, component, u, v, side):
         return _fd_partial(self._cdf, u, v, axis=component - 1)
@@ -388,7 +395,7 @@ class GridCopula(Copula):
             + (1 - fu) * fv * p[ku, kv + 1]
             + fu * fv * p[ku + 1, kv + 1]
         ) / n
-        return val if val.shape else float(val)
+        return val
 
     @cached_property
     def _row_sums(self):
@@ -479,8 +486,7 @@ def _line_derivative(sums, a, x, y, side):
     k = cell_index(n, x, side=side)
     ny = n * y
     m = np.clip(np.floor(ny), 0, n - 1).astype(np.intp)
-    out = sums[k, m] + np.clip(ny - m, 0.0, 1.0) * a[k, m]
-    return out if out.shape else float(out)
+    return sums[k, m] + np.clip(ny - m, 0.0, 1.0) * a[k, m]
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +518,7 @@ class IndependenceCopula(_ConstantCopula):
         if component == 2:
             u, v = v, u
         v, _ = np.broadcast_arrays(v, u)
-        return v.copy() if v.shape else float(v)
+        return v.copy()
 
     def _quantile(self, u, w):
         w, _ = np.broadcast_arrays(w, u)
@@ -536,11 +542,7 @@ class UpperFrechetCopula(_ConstantCopula):
         if component == 2:
             u, v = v, u
         u, v = np.broadcast_arrays(u, v)
-        if side == "left":
-            out = (u <= v).astype(float)
-        else:
-            out = (u < v).astype(float)
-        return out if out.shape else float(out)
+        return ((u <= v) if side == "left" else (u < v)).astype(float)
 
     def _quantile(self, u, w):
         u, _ = np.broadcast_arrays(u, w)
@@ -568,11 +570,7 @@ class LowerFrechetCopula(_ConstantCopula):
         if component == 2:
             u, v = v, u
         u, v = np.broadcast_arrays(u, v)
-        if side == "left":
-            out = (u > 1.0 - v).astype(float)
-        else:
-            out = (u >= 1.0 - v).astype(float)
-        return out if out.shape else float(out)
+        return ((u > 1.0 - v) if side == "left" else (u >= 1.0 - v)).astype(float)
 
     def _quantile(self, u, w):
         u, _ = np.broadcast_arrays(u, w)

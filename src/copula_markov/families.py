@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     Copula,
+    CopulaError,
     DomainError,
     InvariantError,
     IntervalFamily,
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 
-class InconclusiveError(Exception):
+class InconclusiveError(CopulaError):
     """A numeric certificate could not be evaluated (not a negative verdict)."""
 
 
@@ -382,7 +383,7 @@ class ArchimedeanCopula(Copula):
                 out[u_edge] = _fd_partial(self._cdf, u[u_edge], v[u_edge], axis=0)
             if np.any(interior):
                 out[interior] = np.asarray(g.phi_prime(s[interior])) / slope_u[interior]
-        return out if out.shape else float(out)
+        return out
 
     def _quantile(self, u, w):
         """The generator's closed-form inverse of t -> d1 C(u, t) where u and
@@ -422,14 +423,14 @@ def _on_open_unit(f, x, arg):
 
 def _with_margins(out, u, v, inner):
     """``out`` with the margin limits 0 where u or v is 0, u where v = 1 and
-    v where u = 1, unless ``inner`` (all of u and v in (0, 1)); scalar: float."""
+    v where u = 1, unless ``inner`` (all of u and v in (0, 1))."""
     if not inner:
         u, v = np.broadcast_arrays(u, v)
         u_one, v_one = u == 1.0, v == 1.0
         out[v_one] = u[v_one]
         out[u_one] = v[u_one]  # C(1, 1) = 1 either way
         out[(u == 0.0) | (v == 0.0)] = 0.0
-    return out if out.shape else float(out)
+    return out
 
 
 def archimedean_copula(gen: ArchimedeanGenerator) -> ArchimedeanCopula:
@@ -563,7 +564,7 @@ class ExtremeValueCopula(Copula):
             x_zero = (x == 0.0) & (y > 0.0) & (y < 1.0)
             if np.any(x_zero):
                 out[x_zero] = _fd_partial(self._cdf, u[x_zero], v[x_zero], axis=component - 1)
-        return out if out.shape else float(out)
+        return out
 
     def to_spec(self):
         return {
@@ -603,22 +604,21 @@ class OrdinalSumCopula(Copula):
         object.__setattr__(self, "components", comps)
 
     def _blockwise(self, u, v, base, block):
-        scalar = u.ndim == 0 and v.ndim == 0
-        u, v = np.atleast_1d(*np.broadcast_arrays(u, v))
+        u, v = np.broadcast_arrays(u, v)
         out = np.array(base(u, v), dtype=float)
         for (a, b), comp in zip(self.intervals, self.components):
             inside = (u > a) & (u < b) & (v > a) & (v < b)
             if np.any(inside):
                 w = b - a
                 out[inside] = block(comp, a, w, (u[inside] - a) / w, (v[inside] - a) / w)
-        return float(out[0]) if scalar else out
+        return out
 
     def _cdf(self, u, v):
         return self._blockwise(
             u,
             v,
             np.minimum,
-            lambda comp, a, w, s, t: a + w * np.asarray(comp._cdf(s, t)),
+            lambda comp, a, w, s, t: a + w * comp._cdf(s, t),
         )
 
     def _partial(self, component, u, v, side):
@@ -627,7 +627,7 @@ class OrdinalSumCopula(Copula):
             u,
             v,
             lambda uu, vv: upper._partial(component, uu, vv, side),
-            lambda comp, a, w, s, t: np.asarray(comp._partial(component, s, t, side)),
+            lambda comp, a, w, s, t: comp._partial(component, s, t, side),
         )
 
     def knots_u(self):

@@ -88,7 +88,7 @@ def _extremes(c1: Copula, c2: Copula):
         w = max(1, int(4e6 / us.size))  # bounds the memory of one block
         blocks = (vs[None, s : s + w] for s in range(0, vs.size, w))
         hi, at_hi, lo, at_lo = _first_extremes(
-            np.asarray(c1.cdf(us[:, None], v)) - np.asarray(c2.cdf(us[:, None], v)) for v in blocks
+            c1.cdf(us[:, None], v) - c2.cdf(us[:, None], v) for v in blocks
         )
 
     def point(at):
@@ -210,7 +210,7 @@ def _d1_slices(c1, c2):
             half = 0.5 * (p1 - p0)
             vals = _panel_slices(c1, c2, mid + half * _GL_NODES, cells, fixed)
             total += half * float(np.dot(_GL_WEIGHTS, vals))
-    return total
+    return float(total)
 
 
 def _panel_slices(c1, c2, us, cells, fixed):
@@ -249,9 +249,7 @@ def _panel_slices(c1, c2, us, cells, fixed):
 
 def _derivative_gap(c1, c2, u, t):
     """|d1 C1(u, t) - d1 C2(u, t)|, one derivative call per operand."""
-    return np.abs(
-        np.asarray(c1.partial_derivative(1, u, t)) - np.asarray(c2.partial_derivative(1, u, t))
-    )
+    return np.abs(c1.partial_derivative(1, u, t) - c2.partial_derivative(1, u, t))
 
 
 def d1_midpoint(c1: Copula, c2: Copula, panels=512) -> float:
@@ -282,7 +280,7 @@ def sobolev_diagonal(c: Copula) -> float:
     if isinstance(square, GridCopula):
         return 2.0 * _grid_diagonal_integral(square)
     u = np.linspace(0.0, 1.0, 1025)
-    y = np.asarray(square.cdf(u, u))
+    y = square.cdf(u, u)
     # Simpson weights 1, 4, 2, ..., 4, 1 times h / 3 = 1 / 3072
     return 2.0 * float((y[0] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum() + y[-1]) / 3072.0)
 

@@ -93,7 +93,7 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
         u = np.linspace(0.0, 1.0, u_points)
         v = np.linspace(0.0, 1.0, v_points)
         work = c if component == 1 else transpose(c)
-        vals = np.asarray(work.cdf(u[:, None], v[None, :]))
+        vals = work.cdf(u[:, None], v[None, :])
         # second differences of the sections: > 0 breaks concavity (SI)
         steps = vals[:-2, :] + vals[2:, :] - 2.0 * vals[1:-1, :]
         u1, u2, v, method = u[:-2], u[2:], v, "grid-certified"

@@ -139,9 +139,11 @@ def load_copula(path) -> Copula:
 
 def save_copula(c: Copula, path) -> None:
     """Write ``c`` as a JSON spec, or a CSV matrix when the path ends in
-    .csv.  A spec that :func:`copula_from_spec` refuses raises
-    :class:`SpecError` "cannot save: ..." before the file is opened; a
-    checkerboard spec always loads, so it is not re-read."""
+    .csv.  A spec that :func:`copula_from_spec` refuses, or that loads as a
+    copula whose cdf differs from ``c``'s anywhere on the 17 x 17 lattice of
+    ``linspace(0, 1, 17)``, raises :class:`SpecError` "cannot save: ..."
+    before the file is opened; a checkerboard spec always loads as its own
+    matrix, so it is not re-read."""
     if not isinstance(c, Copula):
         raise SpecError(f"cannot save: {type(c).__name__} is not a copula")
     path = str(path)
@@ -153,9 +155,12 @@ def save_copula(c: Copula, path) -> None:
     spec = c.to_spec()
     if spec["type"] != "checkerboard":
         try:
-            copula_from_spec(spec)
+            reloaded = copula_from_spec(spec)
         except CopulaError as exc:
             raise SpecError(f"cannot save: {exc}") from exc
+        g = np.linspace(0.0, 1.0, 17)
+        if not np.array_equal(reloaded.cdf(g[:, None], g), c.cdf(g[:, None], g)):
+            raise SpecError("cannot save: the spec reloads as a different copula")
     with open(path, "w", encoding="utf-8") as fh:
         _write_json(spec, fh)
 
@@ -187,21 +192,32 @@ def _write_value(obj, fh):
         fh.write(json.dumps(obj, sort_keys=True))
 
 
-def matrix_from_csv(path) -> np.ndarray:
+def _write_csv(path, rows, fmt="%.17g", header="") -> None:
+    """The package's one CSV writer: each row of the 2-d array ``rows`` as one
+    line of ``fmt`` (a specifier per value, or the whole row's), under
+    ``header`` unless it is empty."""
+    np.savetxt(path, rows, fmt=fmt, delimiter=",", header=header, comments="")
+
+
+def _read_csv(path, what) -> np.ndarray:
+    """The package's one CSV reader: a 2-d array, or SpecError naming ``what``."""
     try:
-        matrix = np.loadtxt(path, delimiter=",", ndmin=2)
+        return np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
-        raise SpecError(f"{path}: not a numeric CSV matrix ({exc})") from exc
-    return matrix
+        raise SpecError(f"{path}: not a numeric CSV {what} ({exc})") from exc
+
+
+def matrix_from_csv(path) -> np.ndarray:
+    return _read_csv(path, "matrix")
 
 
 def matrix_to_csv(matrix, path) -> None:
-    np.savetxt(path, np.asarray(matrix, dtype=float), delimiter=",", fmt="%.17g")
+    _write_csv(path, np.asarray(matrix, dtype=float))
 
 
 def generator_from_csv(path, name="tabulated"):
     """Tabulated Archimedean generator from CSV rows of (t, phi(t))."""
-    table = np.loadtxt(path, delimiter=",", ndmin=2)
+    table = _read_csv(path, "generator table")
     if table.shape[1] != 2:
         raise SpecError(f"{path}: generator table must have two columns")
     return families.tabulated_generator(table[:, 0], table[:, 1], name=name)

@@ -421,3 +421,14 @@ def test_check_complete_dependence_honours_the_resolution(tmp_path, capsys):
         gaps[n] = json.loads(out)["gap"]
     _, out, _ = run(capsys, "check", str(spec), "--property", "complete-dependence")
     assert json.loads(out)["gap"] == gaps["128"] != gaps["16"]
+
+
+def test_short_circuited_product_reports_no_oracle(specs, capsys, tmp_path):
+    # M * C is C exactly: no quadrature runs, so no oracle figure is reported
+    clayton = tmp_path / "clayton.json"
+    clayton.write_text(json.dumps({"type": "archimedean", "family": "clayton", "theta": 2.0}))
+    out_path = str(tmp_path / "result.json")
+    code, out, _ = run(capsys, "product", specs["cplus.json"], str(clayton), "-o", out_path, "--oracle")
+    assert code == 0
+    assert json.loads(out) == {"out": out_path}
+    assert json.loads(Path(out_path).read_text())["family"] == "clayton"

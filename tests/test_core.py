@@ -13,6 +13,7 @@ from copula_markov import (
     GridCopula,
     IntervalFamily,
     InvariantError,
+    LowerFrechetCopula,
     StepFunction,
     TransposedCopula,
 )
@@ -680,3 +681,66 @@ def test_a_point_just_inside_a_cell_stays_in_it():
     assert list(cell_index(3, np.array([1 / 3, 2 / 3]))) == [1, 2]
     assert list(cell_index(3, np.array([1 / 3, 2 / 3]), side="left")) == [0, 1]
     assert np.array_equal(cell_index(1024, np.arange(1, 1024) / 1024), np.arange(1, 1024))
+
+
+# ---------------------------------------------------------------------------
+# branches of the defaults: grids of unrelated resolutions, the W ridge, a
+# carrier that implements only its cdf
+# ---------------------------------------------------------------------------
+
+
+def cell_overlap_discretization(matrix, m):
+    """Independent oracle: the mass of each cell of the m-partition, summed
+    from the overlaps of the n-grid's cells with it."""
+    n = matrix.shape[0]
+    overlap = np.array(
+        [[max(0.0, min((k + 1) / n, (i + 1) / m) - max(k / n, i / m)) for k in range(n)] for i in range(m)]
+    )
+    # cell (k, l) holds mass matrix[k, l] / n, a share n * overlap of it
+    # in coarse cell (i, j), whose entry is m times its mass
+    return m * n * overlap @ matrix @ overlap.T
+
+
+def test_discretize_between_unrelated_resolutions_matches_cell_overlaps():
+    a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    coarse = GridCopula(a).discretize(2)
+    expected = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
+    assert np.max(np.abs(coarse.matrix - expected)) <= 1e-15
+    assert np.max(np.abs(coarse.matrix - cell_overlap_discretization(a, 2))) <= 1e-15
+
+
+def test_lower_bound_ridge_takes_the_side_asked_for():
+    w = LowerFrechetCopula()
+    assert w.partial_derivative(1, 0.25, 0.75, side="left") == 0.0
+    assert w.partial_derivative(1, 0.25, 0.75) == 1.0
+    assert w.partial_derivative(2, 0.75, 0.25, side="left") == 0.0
+    assert w.partial_derivative(2, 0.75, 0.25) == 1.0
+
+
+class _CdfOnly(Copula):
+    """A carrier with nothing but its cdf: every other kernel is a default."""
+
+    def __init__(self, cdf):
+        self.function = cdf
+
+    def _cdf(self, u, v):
+        return self.function(u, v)
+
+    def to_spec(self):
+        raise NotImplementedError
+
+
+def test_default_partial_of_a_cdf_only_carrier_is_its_derivative():
+    # Farlie-Gumbel-Morgenstern, theta = 0.5: d1 C = v (1 + theta (1 - v) (1 - 2u))
+    fgm = _CdfOnly(lambda u, v: u * v * (1.0 + 0.5 * (1.0 - u) * (1.0 - v)))
+    u = np.linspace(0.05, 0.95, 19)[:, None]
+    v = np.linspace(0.0, 1.0, 21)
+    exact = v * (1.0 + 0.5 * (1.0 - v) * (1.0 - 2.0 * u))
+    assert np.max(np.abs(fgm.partial_derivative(1, u, v) - exact)) <= 1e-8
+    assert type(fgm.partial_derivative(1, 0.3, 0.6)) is float
+
+
+def test_discretize_refuses_a_cdf_that_is_not_2_increasing():
+    bumped = _CdfOnly(lambda u, v: u * v - 0.2 * np.sin(np.pi * u) * np.sin(np.pi * v))
+    with pytest.raises(DomainError, match="not 2-increasing"):
+        bumped.discretize(4)

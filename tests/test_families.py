@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 from copula_markov import (
     ArchimedeanGenerator,
     DomainError,
+    GridCopula,
     InconclusiveError,
+    IndependenceCopula,
     InvariantError,
+    LowerFrechetCopula,
     PickandsFunction,
+    UpperFrechetCopula,
     archimedean_copula,
     check_si,
     clayton_generator,
@@ -29,6 +33,10 @@ from copula_markov import (
 )
 from copula_markov.core import Copula, _fd_partial
 from copula_markov.serialize import copula_from_spec
+
+from conftest import CHECKER3
+
+
 # ---------------------------------------------------------------------------
 # Archimedean copulas
 # ---------------------------------------------------------------------------
@@ -747,3 +755,43 @@ def test_every_family_instance_passes_the_copula_audit(pi):
         # 2-increasingness: every cell of a fine discretization carries
         # nonnegative mass
         assert cop.discretize(32).matrix.min() >= -1e-12
+
+
+def test_inconclusive_error_is_a_package_error():
+    from copula_markov import CopulaError
+
+    assert issubclass(InconclusiveError, CopulaError)
+
+
+def test_partial_of_a_generator_without_derivative_differences_the_cdf():
+    clayton = clayton_generator(2.0)
+    bare = archimedean_copula(ArchimedeanGenerator("clayton-fd", clayton.phi, clayton.phi_inverse))
+    u = np.linspace(0.05, 0.95, 19)[:, None]
+    v = np.linspace(0.05, 0.95, 19)
+    exact = archimedean_copula(clayton).partial_derivative(1, u, v)
+    assert np.max(np.abs(bare.partial_derivative(1, u, v) - exact)) <= 1e-8
+    assert np.array_equal(bare.partial_derivative(2, v, u), bare.partial_derivative(1, u, v))
+
+
+SCALAR_CARRIERS = {
+    "grid": lambda: GridCopula(CHECKER3),
+    "pi": IndependenceCopula,
+    "upper": UpperFrechetCopula,
+    "lower": LowerFrechetCopula,
+    "clayton": lambda: archimedean_copula(clayton_generator(2.0)),
+    "gumbel-archimedean": lambda: archimedean_copula(gumbel_generator(2.0)),
+    "gumbel-ev": lambda: extreme_value_copula(gumbel_pickands(2.5)),
+    "ordinal-sum": lambda: ordinal_sum([(0.2, 0.7)], [archimedean_copula(clayton_generator(2.0))]),
+    "transpose": lambda: transpose(extreme_value_copula(gumbel_pickands(2.5))),
+}
+
+
+@pytest.mark.parametrize("make", SCALAR_CARRIERS.values(), ids=SCALAR_CARRIERS.keys())
+def test_scalar_queries_answer_with_python_floats(make):
+    c = make()
+    for u, v in [(0.3, 0.6), (0.0, 0.5), (1.0, 0.4), (0.5, 0.5)]:
+        assert type(c.cdf(u, v)) is float
+        for k in (1, 2):
+            assert type(c.partial_derivative(k, u, v)) is float
+            assert type(c.partial_derivative(k, u, v, side="left")) is float
+    assert isinstance(c.cdf(np.array([0.3]), 0.6), np.ndarray)

@@ -393,6 +393,12 @@ def test_d1_mixed_grid_and_closed_form(pi):
     assert mixed == pytest.approx(1 / 3, abs=5e-3)
 
 
+def test_d1_answers_with_a_python_float_on_every_path(checker3, pi, upper):
+    clayton = archimedean_copula(clayton_generator(2.0))
+    for pair in [(clayton, pi), (pi, upper), (checker3, pi), (checker3, checker3.discretize(6))]:
+        assert type(d1_metric(*pair)) is float
+
+
 # ---------------------------------------------------------------------------
 # uniform / derivative / D1 convergence move together on SI sequences
 # ---------------------------------------------------------------------------

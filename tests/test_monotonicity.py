@@ -438,3 +438,12 @@ def test_reverse_dominance_is_the_sup_of_c_minus_the_product(rng):
     verdict = check_dominance(grid, clayton, reverse=True)
     product = markov_product(grid, clayton.discretize(5))
     assert (verdict.gap, verdict.witness) == sup_gap(clayton.discretize(5), product, signed=True)
+
+
+def test_quadrant_verdict_of_a_lower_bound_block_is_neither():
+    # M outside the block lies above uv, the rescaled W inside it below
+    from copula_markov import LowerFrechetCopula, ordinal_sum
+
+    verdict = check_quadrant_dependence(ordinal_sum([(0.2, 0.8)], [LowerFrechetCopula()]))
+    assert (verdict.pqd, verdict.nqd) == (False, False)
+    assert verdict.label == "neither"

@@ -360,3 +360,8 @@ def test_compose_multiplies_through_the_grid_product_kernel(rng):
     eye = np.eye(512)
     composed = DiscreteMarkovOperator(eye[p]).compose(DiscreteMarkovOperator(eye[q]))
     assert np.array_equal(composed.matrix, eye[q[p]])
+
+
+def test_compose_refuses_operators_of_different_resolutions():
+    with pytest.raises(DomainError, match="share a resolution"):
+        operator_of(GridCopula(np.eye(2)), 2).compose(operator_of(GridCopula(CHECKER3), 3))

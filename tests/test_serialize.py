@@ -220,3 +220,65 @@ def test_unknown_family_error_lists_the_known_ones():
         copula_from_spec({"type": "archimedean", "family": "gaussian", "theta": 0.3})
     with pytest.raises(SpecError, match=r"\(known: comonotone, gumbel, independence\)"):
         copula_from_spec({"type": "extreme-value", "family": "husler-reiss", "theta": 1.0})
+
+
+def test_save_refuses_named_families_built_from_other_functions(tmp_path):
+    from copula_markov import (
+        ArchimedeanGenerator,
+        PickandsFunction,
+        archimedean_copula,
+        extreme_value_copula,
+        frank_generator,
+        gumbel_pickands,
+    )
+
+    # the spec records the name and theta only, so these would reload as
+    # Clayton(2) and Gumbel(2.5): cdf(0.3, 0.6) 0.2456 -> 0.2785 and 0.2425 -> 0.2841
+    frank = frank_generator(3.0)
+    posing = ArchimedeanGenerator("clayton", frank.phi, frank.phi_inverse, frank.phi_prime, theta=2.0)
+    flatter = PickandsFunction("gumbel", gumbel_pickands(1.5).func, theta=2.5)
+    for name, cop in [
+        ("clayton", archimedean_copula(posing)),
+        ("gumbel", extreme_value_copula(flatter)),
+    ]:
+        path = tmp_path / f"{name}.json"
+        with pytest.raises(SpecError, match="cannot save: the spec reloads as a different copula"):
+            save_copula(cop, path)
+        assert not path.exists()
+
+
+def test_saved_copulas_reload_with_the_same_cdf(tmp_path):
+    from copula_markov import (
+        LowerFrechetCopula,
+        archimedean_copula,
+        clayton_generator,
+        extreme_value_copula,
+        frank_generator,
+        gumbel_pickands,
+        independence_pickands,
+        ordinal_sum,
+        transpose,
+    )
+
+    gumbel = extreme_value_copula(gumbel_pickands(2.5))
+    g = np.linspace(0.0, 1.0, 17)
+    for cop in [
+        archimedean_copula(clayton_generator(2.0)),
+        archimedean_copula(frank_generator(-3.0)),
+        gumbel,
+        extreme_value_copula(independence_pickands()),
+        ordinal_sum([(0.25, 0.75)], [LowerFrechetCopula()]),
+        transpose(gumbel),
+    ]:
+        path = tmp_path / "spec.json"
+        save_copula(cop, path)
+        assert np.array_equal(load_copula(path).cdf(g[:, None], g), cop.cdf(g[:, None], g))
+
+
+def test_non_numeric_csv_tables_raise_spec_errors(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("0.5,0.5\nabc,0.5\n")
+    with pytest.raises(SpecError, match="not a numeric CSV matrix"):
+        matrix_from_csv(path)
+    with pytest.raises(SpecError, match="not a numeric CSV generator table"):
+        generator_from_csv(path)
