@@ -223,6 +223,9 @@ def _matmul(a, b):
         return a @ b
     support_a = np.flatnonzero(mask_a)
     support_b = np.flatnonzero(mask_b)
+    # the two n^2 masks and the pair positions go before bincount allocates
+    # the result
+    del masks, mask_a, mask_b
     rows_a, ka = np.divmod(support_a, k)
     reps = row_counts_b[ka]  # the pairs each nonzero of a takes part in
     # pair t of a's e-th nonzero is b's nonzero row_start[ka[e]] + t
@@ -231,6 +234,7 @@ def _matmul(a, b):
     pos = np.arange(pairs) + np.repeat(row_start[ka] - first_pair, reps)
     weights = np.repeat(np.take(a, support_a), reps) * np.take(b, support_b)[pos]
     index = np.repeat(rows_a * m, reps) + support_b[pos] % m
+    del pos
     return np.bincount(index, weights=weights, minlength=n * m).reshape(n, m)
 
 
@@ -450,7 +454,9 @@ def iterate_to_limit(
             nxt = GridCopula._trusted(take())
             if step < max_iter:
                 requests.put(nxt.matrix)
-            # the sup gap and the largest increase, from one corner difference
+            # the sup gap and the largest increase, from one corner difference;
+            # nxt is compared twice, so its corner table is built once
+            nxt._prefix
             hi, _, lo, _ = metrics._corner_extremes(nxt, current)
             sup_gap = max(abs(hi), abs(lo))
             worst_increase = max(worst_increase, max(hi, 0.0))

@@ -365,15 +365,8 @@ class GridCopula(Copula):
     def _prefix(self):
         """(n+1)x(n+1) corner values n*C(k/n, l/n), i.e. 2-d prefix sums."""
         n = self.n
-        a = self.matrix
         p = np.zeros((n + 1, n + 1))
-        body = p[1:, 1:]
-        # column sums row by row: the additions of cumsum(axis=0) in the
-        # same order, but along contiguous rows instead of across them
-        body[0] = a[0]
-        for k in range(1, n):
-            np.add(body[k - 1], a[k], out=body[k])
-        np.cumsum(body, axis=1, out=body)
+        next(_corner_slabs(self.matrix, p))  # one slab: the whole table
         p.setflags(write=False)
         return p
 
@@ -468,6 +461,34 @@ class GridCopula(Copula):
 
     def to_spec(self):
         return {"type": "checkerboard", "matrix": self.matrix.tolist()}
+
+
+def _corner_slabs(a, buf):
+    """The corner values n C(k/n, l/n) of the grid with matrix ``a`` (its
+    2-d prefix sums), ``len(buf)`` corner rows at a time: each slab is
+    written into the first rows of ``buf`` and yielded as a view of it.
+
+    Column sums run row by row, the additions of cumsum(axis=0) in the
+    same order but along contiguous rows, and the last row of column sums
+    is carried into the next slab; each slab is then summed along its
+    rows.  So every slab holds the bits of the full table's rows.
+    """
+    n = a.shape[0]
+    carry = np.empty(n)  # column sums of the rows above the slab
+    for start in range(0, n + 1, len(buf)):
+        slab = buf[: min(len(buf), n + 1 - start)]
+        slab[:, 0] = 0.0
+        body = slab[:, 1:]
+        above = carry
+        for row, k in zip(body, range(start, start + len(slab))):
+            if k > 1:
+                np.add(above, a[k - 1], out=row)
+            else:  # corner row 0 is zero, row 1 is a[0] itself
+                row[:] = a[0] if k else 0.0
+            above = row
+        carry[:] = body[-1]
+        np.cumsum(body, axis=1, out=body)
+        yield slab
 
 
 def _running_sums(a):
@@ -638,7 +659,7 @@ class StepFunction:
 
     def __call__(self, x):
         x = _check_unit(x, "x")
-        return self.values[cell_index(self.n, x)]
+        return _public(self.values[cell_index(self.n, x)])
 
     def integral(self) -> float:
         """Integral over [0, 1]; equals the mean of the cell values exactly."""

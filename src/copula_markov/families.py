@@ -287,8 +287,6 @@ def tabulated_generator(t_values, phi_values, name="tabulated"):
 def _invert_decreasing(f, y, hi_start):
     """Solve f(t) = y for decreasing f on [0, inf) by monotone bisection."""
     y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y)
     hi = np.full(y.shape, hi_start)
     for _ in range(_INVERT_MAX_DOUBLINGS):
         need = np.asarray(f(hi)) > y
@@ -305,8 +303,8 @@ def _invert_decreasing(f, y, hi_start):
         lo = np.where(open_ & high_side, mid, lo)
         hi = np.where(open_ & ~high_side, mid, hi)
         open_ = hi - lo > _INVERT_TOL
-    out = 0.5 * (lo + hi)
-    return float(out[0]) if scalar else out
+    # an array for every y, 0-d for a scalar one, as phi returns
+    return np.asarray(0.5 * (lo + hi))
 
 
 def is_si_archimedean(gen: ArchimedeanGenerator, tol=1e-9, points=1001):

@@ -7,7 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Copula, DomainError, GridCopula, IndependenceCopula, _check_count, _Record
+from .core import (
+    Copula,
+    DomainError,
+    GridCopula,
+    IndependenceCopula,
+    _check_count,
+    _corner_slabs,
+    _Record,
+)
 
 __all__ = [
     "d_inf",
@@ -58,18 +66,27 @@ def _corner_extremes(g1: GridCopula, g2: GridCopula):
     """Max and min of (C1 - C2) on the corner lattice of two grids of one
     resolution, each with its row-major flat corner index (the first one
     attaining it): ``(max, max_index, min, min_index)``."""
-    # slab by slab through one cache-sized buffer, not a fresh (n+1)^2 array
-    p1 = g1._prefix.ravel()
-    p2 = g2._prefix.ravel()
-    buf = np.empty(min(p1.size, _CORNER_SLAB))
+    # slabs of corner rows through cache-sized buffers, not (n+1)^2 tables
+    n = g1.n
+    rows = min(n + 1, max(1, _CORNER_SLAB // (n + 1)))
+    buf = np.empty((rows, n + 1))
 
     def slabs():
-        for start in range(0, p1.size, _CORNER_SLAB):
-            diff = buf[: min(_CORNER_SLAB, p1.size - start)]
-            np.subtract(p1[start : start + diff.size], p2[start : start + diff.size], out=diff)
-            yield np.divide(diff, g1.n, out=diff)
+        for r1, r2 in zip(_corner_rows(g1, rows), _corner_rows(g2, rows)):
+            diff = np.subtract(r1, r2, out=buf[: len(r1)])
+            yield np.divide(diff, n, out=diff)
 
     return _first_extremes(slabs())
+
+
+def _corner_rows(g: GridCopula, rows):
+    """The corner values n C(k/n, l/n) of ``g``, ``rows`` corner rows at a
+    time: slices of its corner table when one is cached, else built slab
+    by slab with the table's own additions."""
+    table = vars(g).get("_prefix")
+    if table is not None:
+        return (table[s : s + rows] for s in range(0, g.n + 1, rows))
+    return _corner_slabs(g.matrix, np.empty((rows, g.n + 1)))
 
 
 def _extremes(c1: Copula, c2: Copula):
@@ -160,21 +177,28 @@ def d1_metric(c1: Copula, c2: Copula) -> float:
 
 def _d1_grids(g1: GridCopula, g2: GridCopula) -> float:
     n = g1.n
-    # on u-cell k, the derivative gap is linear in v across v-cell m, from
-    # y0 = cum[k, m - 1] (0 for m = 0) to y1 = cum[k, m]
-    cum = np.subtract(g1.matrix, g2.matrix)
-    np.cumsum(cum, axis=1, out=cum)
-    neg = cum < 0.0
-    pos = cum > 0.0
-    flips = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
-    np.abs(cum, out=cum)
-    # the integral of |y| over a cell is the trapezoid (|y0| + |y1|) / 2,
-    # less |y0| |y1| / (|y0| + |y1|) where y changes sign; the trapezoids
-    # sum to every |y| with half weight on the end columns (y is 0 at v = 0)
-    trapezoid = cum.sum() - 0.5 * cum[:, -1].sum()
-    y0 = cum[:, :-1][flips]
-    y1 = cum[:, 1:][flips]
-    crossing = np.sum(y0 * y1 / (y0 + y1))
+    rows = max(1, _CORNER_SLAB // n)
+    buf = np.empty((min(rows, n), n))
+    trapezoid = crossing = 0.0
+    # slab by slab of u-cells: on u-cell k, the derivative gap is linear in
+    # v across v-cell m, from y0 = cum[k, m - 1] (0 for m = 0) to
+    # y1 = cum[k, m]
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        cum = buf[: stop - start]
+        np.subtract(g1.matrix[start:stop], g2.matrix[start:stop], out=cum)
+        np.cumsum(cum, axis=1, out=cum)
+        neg = cum < 0.0
+        pos = cum > 0.0
+        flips = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
+        np.abs(cum, out=cum)
+        # the integral of |y| over a cell is the trapezoid (|y0| + |y1|) / 2,
+        # less |y0| |y1| / (|y0| + |y1|) where y changes sign; the trapezoids
+        # sum to every |y| with half weight on the end columns (y is 0 at v = 0)
+        trapezoid += cum.sum() - 0.5 * cum[:, -1].sum()
+        y0 = cum[:, :-1][flips]
+        y1 = cum[:, 1:][flips]
+        crossing += np.sum(y0 * y1 / (y0 + y1))
     return float((trapezoid - crossing) / n**2)
 
 

@@ -28,7 +28,6 @@ from .core import (
     _check_count,
     _check_tol,
     _Record,
-    _running_sums,
 )
 from .operators import operator_of
 
@@ -85,10 +84,13 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
         n = a.shape[0]
         if n == 1:
             return MonotonicityVerdict(True, True, component, 0.0, None, "exact-cumsum")
-        steps = np.diff(_running_sums(a)[:, 1:], axis=0)  # > 0 breaks SI, < 0 breaks SD
-        # the witness of step (k, l): cell midpoints k and k + 1, edge l + 1
+        # step (k, l) = S_{k+1}(l) - S_k(l): > 0 breaks SI, < 0 breaks SD;
+        # its witness: cell midpoints k and k + 1, edge l + 1
+        hi, at_hi, lo, _ = metrics._first_extremes(_running_sum_steps(a))
+        k, l = divmod(at_hi, n)
         mid = (np.arange(n) + 0.5) / n
         u1, u2, v, method = mid[:-1], mid[1:], (np.arange(n) + 1.0) / n, "exact-cumsum"
+        si_worst, sd_worst = hi, -lo
     else:
         u = np.linspace(0.0, 1.0, u_points)
         v = np.linspace(0.0, 1.0, v_points)
@@ -97,9 +99,9 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
         # second differences of the sections: > 0 breaks concavity (SI)
         steps = vals[:-2, :] + vals[2:, :] - 2.0 * vals[1:-1, :]
         u1, u2, v, method = u[:-2], u[2:], v, "grid-certified"
-    si_worst = float(steps.max())
-    sd_worst = float(-steps.min())
-    k, l = np.unravel_index(np.argmax(steps), steps.shape)
+        si_worst = float(steps.max())
+        sd_worst = float(-steps.min())
+        k, l = np.unravel_index(np.argmax(steps), steps.shape)
     return MonotonicityVerdict(
         si=si_worst <= tol,
         sd=sd_worst <= tol,
@@ -108,6 +110,33 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
         witness=(float(u1[k]), float(u2[k]), float(v[l])),
         method=method,
     )
+
+
+def _running_sum_steps(a):
+    """The row differences S_{k+1} - S_k of the running sums along the
+    rows of ``a``, in row-major order, as slabs of at most
+    ``metrics._CORNER_SLAB`` entries.
+
+    A slab of a transposed view is copied contiguous first.  The last
+    running-sum row of each slab is carried into the next, and cumsum adds
+    in sequence, so every value has the bits of the full-table difference.
+    """
+    n = a.shape[0]
+    rows = min(n, max(1, metrics._CORNER_SLAB // n))
+    cum = np.empty((rows + 1, n))  # row 0: the last running sums above the slab
+    steps = np.empty((rows, n))
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        sums = cum[1 : m + 1]
+        block = a[start : start + m]
+        if not block.flags.c_contiguous:
+            sums[:] = block
+            block = sums
+        np.cumsum(block, axis=1, out=sums)
+        lines = cum[: m + 1] if start else sums
+        if len(lines) > 1:
+            yield np.subtract(lines[1:], lines[:-1], out=steps[: len(lines) - 1])
+        cum[0] = sums[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,14 @@ def count_validations(monkeypatch):
     monkeypatch.setattr(core, "_validate_doubly_stochastic", counted)
     monkeypatch.setattr(operators, "_validate_doubly_stochastic", counted)
     return calls
+
+
+def traced_peak(func, *args, **kwargs):
+    """Peak bytes that ``func(*args, **kwargs)`` holds at once beyond what
+    was allocated before the call, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        func(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

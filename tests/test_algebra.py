@@ -44,7 +44,7 @@ from copula_markov import (
 from copula_markov import algebra, core, d_inf, metrics
 from copula_markov.serialize import copula_from_spec, load_copula, save_copula
 
-from conftest import CHECKER3, count_validations, random_doubly_stochastic
+from conftest import CHECKER3, count_validations, random_doubly_stochastic, traced_peak
 
 # matrix square of the workhorse example, from the matrix-product oracle
 CHECKER3_SQUARED = np.array(
@@ -287,6 +287,16 @@ def test_sparse_product_with_too_many_pairs_falls_back_to_blas(rng, monkeypatch)
     calls = _count_support_products(monkeypatch)
     assert algebra._matmul(a, b).tobytes() == (a @ b).tobytes()
     assert calls == []
+
+
+def test_support_product_frees_its_masks_before_the_result(rng, monkeypatch):
+    n = 1024
+    a = GridCopula(random_doubly_stochastic(rng, n, n_perms=12))
+    b = GridCopula(random_doubly_stochastic(rng, n, n_perms=12))
+    calls = _count_support_products(monkeypatch)
+    result_bytes = n * n * 8
+    assert traced_peak(markov_product, a, b) < result_bytes + result_bytes // 2
+    assert calls == [n * n]  # the support path
 
 
 def test_mixed_resolution_product_is_capped_before_allocating(rng):

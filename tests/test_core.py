@@ -17,7 +17,7 @@ from copula_markov import (
     StepFunction,
     TransposedCopula,
 )
-from copula_markov import metrics
+from copula_markov import core, metrics
 from copula_markov.core import cell_index
 
 from conftest import CHECKER3, count_validations, random_doubly_stochastic
@@ -590,6 +590,13 @@ def test_step_function_evaluation_right_continuous():
     assert f(1.0) == 1.0
 
 
+def test_step_function_hands_out_a_float_for_a_scalar():
+    f = StepFunction([1.0, 2.0])
+    assert type(f(0.3)) is float and f(0.3) == 1.0
+    out = f(np.array([0.3, 0.7]))
+    assert isinstance(out, np.ndarray) and out.tolist() == [1.0, 2.0]
+
+
 def test_step_function_monotonicity_flags():
     assert StepFunction([3.0, 2.0, 2.0, 1.0]).is_decreasing()
     assert not StepFunction([3.0, 2.0, 2.5, 1.0]).is_decreasing()
@@ -656,6 +663,14 @@ def test_prefix_is_bit_identical_to_cumsum_reference(rng, n):
     prefix = GridCopula(a)._prefix
     assert prefix.tobytes() == reference.tobytes()
     assert not prefix.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_corner_slabs_of_any_height_hold_the_table_bits(rng, n):
+    grid = GridCopula(random_doubly_stochastic(rng, n, n_perms=min(n, 8) + 1))
+    for rows in sorted({1, 2, 3, n, n + 1}):
+        slabs = [s.copy() for s in core._corner_slabs(grid.matrix, np.empty((rows, n + 1)))]
+        assert np.concatenate(slabs).tobytes() == grid._prefix.tobytes()
 
 
 def test_benchmark_hook_points_exist():

@@ -718,6 +718,16 @@ def test_tabulated_generator_inverse_roundtrip():
         assert gen.phi(gen.phi_inverse(x)) == pytest.approx(x, abs=1e-9)
 
 
+def test_tabulated_generator_inverse_of_a_scalar_is_0d_like_phi():
+    source = clayton_generator(2.0)
+    t = np.concatenate([[0.0], np.geomspace(1e-4, 60.0, 400)])
+    gen = tabulated_generator(t, source.phi(t))
+    x = gen.phi_inverse(0.5)
+    assert np.ndim(x) == 0
+    assert type(x) is type(gen.phi(0.5))
+    assert x.tobytes() == gen.phi_inverse(np.array([0.2, 0.5, 0.9]))[1].tobytes()
+
+
 def test_tabulated_generator_rejects_bad_tables():
     with pytest.raises(InvariantError):
         tabulated_generator([0.0, 1.0, 2.0], [1.0, 0.5, 0.6])

@@ -42,7 +42,7 @@ from copula_markov.metrics import (
     sup_gap,
 )
 
-from conftest import CHECKER3, random_doubly_stochastic
+from conftest import CHECKER3, random_doubly_stochastic, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +167,27 @@ def test_corner_extremes_ties_across_slabs_take_the_earlier_corner(rng):
     assert _corner_extremes(p, zero)[:2] == (3.0 / n, 3 * _CORNER_SLAB + 5)
 
 
+@pytest.mark.parametrize("n", [1, 2, 254, 255, 256, 257, 700])
+def test_corner_extremes_stream_an_uncached_operand_with_its_table_bits(rng, n):
+    a = GridCopula(random_doubly_stochastic(rng, n, n_perms=min(n, 12)))
+    b = GridCopula(random_doubly_stochastic(rng, n, n_perms=min(n, 12)))
+    a._prefix  # one operand cached, the other streamed
+    forward, backward = _corner_extremes(a, b), _corner_extremes(b, a)
+    assert "_prefix" not in vars(b)
+    assert forward == reference_corner_extremes(a, b)
+    assert backward == reference_corner_extremes(b, a)
+
+
+def test_grid_sup_gap_and_d1_hold_no_full_size_temporary(rng):
+    n = 1024
+    a = GridCopula(random_doubly_stochastic(rng, n, n_perms=12))
+    b = GridCopula(random_doubly_stochastic(rng, n, n_perms=12))
+    half_matrix = n * n * 8 // 2
+    assert traced_peak(d_inf, a, b) < half_matrix
+    assert traced_peak(d1_metric, a, b) < half_matrix
+    assert "_prefix" not in vars(a) and "_prefix" not in vars(b)
+
+
 def test_sup_gap_mixed_resolution_grids_exact(rng):
     # the knots of a 2-grid and a 3-grid span every corner of their 6-grid
     a = random_doubly_stochastic(rng, 2)
@@ -234,6 +255,27 @@ def test_d1_grid_kernel_matches_per_piece_reference(rng):
         assert _d1_grids(GridCopula(eye), GridCopula(eye)) == 0.0
     for a, _ in pairs:
         assert d1_metric(GridCopula(a), GridCopula(a)) == 0.0
+
+
+def full_array_d1_grids(g1, g2):
+    """The grid D1 kernel on whole n x n arrays, one sum over all rows."""
+    cum = np.cumsum(g1.matrix - g2.matrix, axis=1)
+    flips = ((cum[:, :-1] < 0) & (cum[:, 1:] > 0)) | ((cum[:, :-1] > 0) & (cum[:, 1:] < 0))
+    cum = np.abs(cum)
+    trapezoid = cum.sum() - 0.5 * cum[:, -1].sum()
+    y0, y1 = cum[:, :-1][flips], cum[:, 1:][flips]
+    return float((trapezoid - np.sum(y0 * y1 / (y0 + y1))) / g1.n**2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 255, 256, 257, 700])
+def test_d1_grid_slabs_sum_to_the_full_array_kernel(rng, n):
+    a = GridCopula(random_doubly_stochastic(rng, n, n_perms=min(n, 12)))
+    b = GridCopula(random_doubly_stochastic(rng, n, n_perms=min(n, 12)))
+    got, full = _d1_grids(a, b), full_array_d1_grids(a, b)
+    if n * n <= _CORNER_SLAB:  # one slab: the same sums in the same order
+        assert got == full
+    else:
+        assert got == pytest.approx(full, rel=1e-15, abs=0.0)
 
 
 def test_d1_independence_to_upper_bound(pi, upper):

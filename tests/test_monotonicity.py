@@ -23,10 +23,11 @@ from copula_markov import (
 
 from copula_markov import monotonicity
 from copula_markov.algebra import transpose
+from copula_markov.core import _running_sums
 from copula_markov.metrics import sup_gap
 from copula_markov.monotonicity import MonotonicityVerdict
 
-from conftest import CHECKER3, random_doubly_stochastic
+from conftest import CHECKER3, random_doubly_stochastic, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +134,30 @@ def test_grid_si_check_matches_the_cumsum_reference(rng, n):
             for tol in (0.0, 1e-9):
                 expected = cumsum_check_si(grid, component, tol)
                 assert check_si(grid, component, tol=tol).to_json() == expected
+
+
+@pytest.mark.parametrize("n", [2, 300, 700])
+def test_grid_si_check_slabs_match_the_full_step_table(rng, n):
+    si = 0.6 * np.eye(n) + 0.4 / n
+    for a in (si, si[::-1].copy(), random_doubly_stochastic(rng, n, n_perms=min(n, 12))):
+        grid = GridCopula(a)
+        for component, lines in ((1, grid.matrix), (2, grid.matrix.T)):
+            steps = np.diff(_running_sums(lines)[:, 1:], axis=0)
+            slabs = np.concatenate([s.flatten() for s in monotonicity._running_sum_steps(lines)])
+            assert slabs.tobytes() == steps.tobytes()
+            k, l = np.unravel_index(np.argmax(steps), steps.shape)
+            verdict = check_si(grid, component)
+            assert verdict.max_violation == max(float(steps.max()), 0.0)
+            assert verdict.si == (steps.max() <= 1e-9)
+            assert verdict.sd == (-steps.min() <= 1e-9)
+            assert verdict.witness == ((k + 0.5) / n, (k + 1.5) / n, (l + 1.0) / n)
+
+
+def test_grid_si_check_holds_no_full_size_temporary(rng):
+    n = 1024
+    grid = GridCopula(random_doubly_stochastic(rng, n, n_perms=12))
+    for component in (1, 2):
+        assert traced_peak(check_si, grid, component) < n * n * 8 // 2
 
 
 def test_grid_si_check_builds_no_transposed_grid(checker3, monkeypatch):
