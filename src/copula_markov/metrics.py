@@ -12,6 +12,7 @@ from .core import (
     DomainError,
     GridCopula,
     IndependenceCopula,
+    InvariantError,
     _check_count,
     _corner_slabs,
     _Record,
@@ -50,10 +51,13 @@ def _axis_points(*knots):
 def _first_extremes(blocks):
     """Max and min over the values of one scan, given as arrays in scan
     order, each with the position in the scan of the first value attaining
-    it: ``(max, max_at, min, min_at)``."""
+    it: ``(max, max_at, min, min_at)``; ``(-inf, 0, inf, 0)`` for an empty
+    scan.  A NaN anywhere raises :class:`InvariantError`."""
     hi, at_hi, lo, at_lo, start = -np.inf, 0, np.inf, 0, 0
     for diff in blocks:
         i, j = int(np.argmax(diff)), int(np.argmin(diff))
+        if np.isnan(diff.flat[i]):  # argmax stops at the first NaN
+            raise InvariantError("a copula evaluated to NaN")
         if diff.flat[i] > hi:  # strict, so a tie keeps the earlier point
             hi, at_hi = float(diff.flat[i]), start + i
         if diff.flat[j] < lo:
@@ -92,26 +96,22 @@ def _corner_rows(g: GridCopula, rows):
 def _extremes(c1: Copula, c2: Copula):
     """Max and min of C1 - C2, each with the first point attaining it and
     its position in the scan: ``((max, point, position), (min, point,
-    position))``.  The scan runs over the lattice us x vs in blocks of w
-    v-columns, row by row within a block: the corners of two grids of one
-    resolution are one block, the audit mesh of any other pair several."""
+    position))``.  The scan runs row by row over the lattice us x vs: the
+    corners of two grids of one resolution, the audit mesh of any other
+    pair, the latter in slabs of u-rows of at most 4e6 points."""
     if isinstance(c1, GridCopula) and isinstance(c2, GridCopula) and c1.n == c2.n:
         us = vs = np.arange(c1.n + 1) / c1.n
-        w = vs.size
         hi, at_hi, lo, at_lo = _corner_extremes(c1, c2)
     else:
         us = _axis_points(c1.knots_u(), c2.knots_u())
         vs = _axis_points(c1.knots_v(), c2.knots_v())
-        w = max(1, int(4e6 / us.size))  # bounds the memory of one block
-        blocks = (vs[None, s : s + w] for s in range(0, vs.size, w))
-        hi, at_hi, lo, at_lo = _first_extremes(
-            c1.cdf(us[:, None], v) - c2.cdf(us[:, None], v) for v in blocks
-        )
+        rows = max(1, int(4e6 / vs.size))  # bounds the memory of one slab
+        slabs = (us[s : s + rows, None] for s in range(0, us.size, rows))
+        hi, at_hi, lo, at_lo = _first_extremes(c1.cdf(u, vs) - c2.cdf(u, vs) for u in slabs)
 
     def point(at):
-        s = at // (w * us.size) * w
-        i, j = divmod(at - s * us.size, min(w, vs.size - s))
-        return float(us[i]), float(vs[s + j])
+        i, j = divmod(at, vs.size)
+        return float(us[i]), float(vs[j])
 
     return (hi, point(at_hi), at_hi), (lo, point(at_lo), at_lo)
 

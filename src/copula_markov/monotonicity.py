@@ -50,10 +50,11 @@ __all__ = [
 class MonotonicityVerdict(_Record):
     """SI/SD verdict for one component.
 
-    ``max_violation`` and ``witness`` describe the worst breach of the SI
-    ordering (u1 < u2 with the conditional cdf larger at u2); plateaus are
-    allowed, so both flags hold exactly when the conditional law does not
-    depend on the conditioning variable at all.
+    ``max_violation`` is the worst breach of the SI ordering (u1 < u2 with
+    the conditional cdf larger at u2), 0.0 when there is none; ``witness``
+    is the first point of the scan attaining it, and ``None`` when there is
+    no breach.  Plateaus are allowed, so both flags hold exactly when the
+    conditional law does not depend on the conditioning variable at all.
     """
 
     si: bool
@@ -70,7 +71,9 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
     Grid path: the cumulative row sums S_k(l) of the matrix must be
     non-increasing in k for every l, compared exactly within ``tol``.
     Closed-form path: concavity/convexity of the sections via second
-    differences on a ``u_points`` x ``v_points`` audit grid.
+    differences on a ``u_points`` x ``v_points`` audit grid.  Both scan
+    their steps row by row in one pass; a NaN among them raises
+    :class:`~copula_markov.core.InvariantError`.
     """
     if component not in (1, 2):
         raise DomainError("component must be 1 or 2")
@@ -79,35 +82,30 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
     v_points = _check_count(v_points, "v_points")
     if isinstance(c, GridCopula):
         # the running sums along the rows of the matrix (of its transpose
-        # for component 2) are the conditional laws d1 C(k/n, l/n)
+        # for component 2) are the conditional laws d1 C(k/n, l/n); step
+        # (k, l) = S_{k+1}(l) - S_k(l) is witnessed at cell midpoints k and
+        # k + 1, edge l + 1
         a = c.matrix if component == 1 else c.matrix.T
         n = a.shape[0]
-        if n == 1:
-            return MonotonicityVerdict(True, True, component, 0.0, None, "exact-cumsum")
-        # step (k, l) = S_{k+1}(l) - S_k(l): > 0 breaks SI, < 0 breaks SD;
-        # its witness: cell midpoints k and k + 1, edge l + 1
-        hi, at_hi, lo, _ = metrics._first_extremes(_running_sum_steps(a))
-        k, l = divmod(at_hi, n)
+        steps = _running_sum_steps(a)
         mid = (np.arange(n) + 0.5) / n
         u1, u2, v, method = mid[:-1], mid[1:], (np.arange(n) + 1.0) / n, "exact-cumsum"
-        si_worst, sd_worst = hi, -lo
     else:
         u = np.linspace(0.0, 1.0, u_points)
         v = np.linspace(0.0, 1.0, v_points)
-        work = c if component == 1 else transpose(c)
-        vals = work.cdf(u[:, None], v[None, :])
-        # second differences of the sections: > 0 breaks concavity (SI)
-        steps = vals[:-2, :] + vals[2:, :] - 2.0 * vals[1:-1, :]
-        u1, u2, v, method = u[:-2], u[2:], v, "grid-certified"
-        si_worst = float(steps.max())
-        sd_worst = float(-steps.min())
-        k, l = np.unravel_index(np.argmax(steps), steps.shape)
+        vals = c.cdf(u[:, None], v) if component == 1 else c.cdf(v, u[:, None])
+        # second differences of the sections
+        steps = [vals[:-2] + vals[2:] - 2.0 * vals[1:-1]]
+        u1, u2, method = u[:-2], u[2:], "grid-certified"
+    # a step > 0 breaks SI, < 0 breaks SD
+    hi, at_hi, lo, _ = metrics._first_extremes(steps)
+    k, l = divmod(at_hi, v.size)
     return MonotonicityVerdict(
-        si=si_worst <= tol,
-        sd=sd_worst <= tol,
+        si=hi <= tol,
+        sd=-lo <= tol,
         component=component,
-        max_violation=max(si_worst, 0.0),
-        witness=(float(u1[k]), float(u2[k]), float(v[l])),
+        max_violation=max(hi, 0.0),
+        witness=(float(u1[k]), float(u2[k]), float(v[l])) if hi > 0.0 else None,
         method=method,
     )
 

@@ -482,6 +482,7 @@ def test_transpose_distributes_over_ordinal_sum(pi):
 
 def test_idempotent_independence_and_unit(pi, upper):
     assert is_idempotent(pi, tol=1e-12).idempotent
+    assert is_idempotent(pi, tol=1e-12)  # the verdict's truth is its flag
     assert is_idempotent(upper, tol=1e-12).idempotent
     assert is_idempotent(pi.discretize(16), tol=1e-12).idempotent
 
@@ -489,6 +490,7 @@ def test_idempotent_independence_and_unit(pi, upper):
 def test_checkerboard_example_is_not_idempotent(checker3):
     verdict = is_idempotent(checker3, tol=1e-6)
     assert not verdict.idempotent
+    assert not verdict
     # largest prefix-sum discrepancy between A^2 and A, computed directly
     p1 = np.zeros((4, 4))
     p1[1:, 1:] = CHECKER3.cumsum(0).cumsum(1)

@@ -476,6 +476,23 @@ def test_renormalized_rejects_empty_matrix():
         GridCopula.renormalized(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("bad", [-0.1, np.nan])
+def test_renormalized_rejects_a_negative_or_nan_entry(bad):
+    raw = np.ones((3, 3))
+    raw[1, 2] = bad
+    with pytest.raises(InvariantError, match="nonnegative and finite"):
+        GridCopula.renormalized(raw)
+
+
+def test_renormalized_refuses_when_not_converged():
+    with pytest.raises(InvariantError, match="did not converge"):
+        GridCopula.renormalized([[1.0, 2.0], [3.0, 4.0]], max_iter=1)
+
+
+def test_refined_by_one_is_the_grid_itself(checker3):
+    assert checker3.refined(1) is checker3
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_renormalized_rejects_zero_row_or_column(axis):
     raw = np.ones((3, 3))
@@ -600,10 +617,23 @@ def test_step_function_hands_out_a_float_for_a_scalar():
 def test_step_function_monotonicity_flags():
     assert StepFunction([3.0, 2.0, 2.0, 1.0]).is_decreasing()
     assert not StepFunction([3.0, 2.0, 2.5, 1.0]).is_decreasing()
+    assert StepFunction([1.0, 2.0, 2.0, 3.0]).is_increasing()
+    assert not StepFunction([3.0, 2.0, 2.5, 1.0]).is_increasing()
     assert StepFunction.indicator_upto(4, 2).is_decreasing()
     assert np.array_equal(
         StepFunction.indicator_upto(4, 2).values, [1.0, 1.0, 0.0, 0.0]
     )
+
+
+@pytest.mark.parametrize("values", [[1.0, np.nan], [], [[1.0, 0.0]]], ids=["nan", "empty", "2-d"])
+def test_step_function_rejects_bad_values(values):
+    with pytest.raises(InvariantError, match="non-empty finite 1-d"):
+        StepFunction(values)
+
+
+def test_indicator_upto_refuses_more_cells_than_the_partition():
+    with pytest.raises(DomainError, match="j must be in 0..3"):
+        StepFunction.indicator_upto(3, 4)
 
 
 def test_interval_family_rejects_overlap():

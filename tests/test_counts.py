@@ -29,6 +29,7 @@ from copula_markov import (
     conditional_expectation_form,
     empirical_si_check,
     extract_pi_ordinal_structure,
+    frank_generator,
     is_si_archimedean,
     iterate_to_limit,
     markov_product,
@@ -205,9 +206,13 @@ def test_sobolev_of_the_closed_forms_needs_no_scipy():
     assert sobolev_diagonal(UpperFrechetCopula()) == 1.0
 
 
-@pytest.mark.parametrize("copula", [C3, CLAYTON], ids=["grid", "closed-form"])
-def test_si_witnesses_hold_plain_floats(copula):
-    witness = check_si(copula, component=2).witness
+@pytest.mark.parametrize(
+    "copula, component",
+    [(C3, 2), (archimedean_copula(frank_generator(-3.0)), 1)],
+    ids=["grid", "closed-form"],
+)
+def test_si_witnesses_hold_plain_floats(copula, component):
+    witness = check_si(copula, component).witness
     assert [type(x) for x in witness] == [float] * 3
     assert "np.float64" not in repr(witness)
 

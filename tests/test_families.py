@@ -153,6 +153,12 @@ def test_generator_invariants_rejected():
             "bad", lambda t: 0.9 * np.exp(-np.asarray(t, float)),
             lambda x: -np.log(np.asarray(x, float) / 0.9),
         )
+    # phi rises at t = 1
+    with pytest.raises(InvariantError, match="not decreasing"):
+        ArchimedeanGenerator(
+            "rising", lambda t: np.exp(-np.asarray(t, float)) + 0.5 * (np.asarray(t, float) > 1.0),
+            lambda x: -np.log(np.asarray(x, float)),
+        )
 
 
 def broadcast_archimedean_cdf(gen, u, v):
@@ -414,6 +420,13 @@ def test_si_criterion_inconclusive_without_derivative():
         phi_prime=None,
     )
     with pytest.raises(InconclusiveError):
+        is_si_archimedean(gen)
+
+
+def test_si_criterion_inconclusive_for_a_nonnegative_derivative():
+    base = clayton_generator(1.0)  # a valid generator given a derivative of the wrong sign
+    gen = ArchimedeanGenerator("upward", base.phi, base.phi_inverse, phi_prime=lambda t: np.ones_like(t))
+    with pytest.raises(InconclusiveError, match="must be negative"):
         is_si_archimedean(gen)
 
 
@@ -689,6 +702,11 @@ def test_ordinal_sum_component_count_mismatch(pi):
         ordinal_sum([(0.0, 0.5), (0.5, 1.0)], [pi])
 
 
+def test_ordinal_sum_rejects_a_component_that_is_not_a_copula(pi):
+    with pytest.raises(InvariantError, match="Copula instances"):
+        ordinal_sum([(0.0, 0.5), (0.5, 1.0)], [pi, np.eye(2)])
+
+
 def test_ordinal_sum_overlap_rejected(pi):
     with pytest.raises(InvariantError):
         ordinal_sum([(0.0, 0.6), (0.5, 1.0)], [pi, pi])
@@ -733,6 +751,8 @@ def test_tabulated_generator_rejects_bad_tables():
         tabulated_generator([0.0, 1.0, 2.0], [1.0, 0.5, 0.6])
     with pytest.raises(InvariantError):
         tabulated_generator([0.1, 1.0, 2.0, 3.0], [1.0, 0.5, 0.4, 0.3])
+    with pytest.raises(InvariantError, match="increase strictly"):
+        tabulated_generator([0.0, 1.0, 1.0, 2.0], [1.0, 0.5, 0.4, 0.3])
 
 
 # ---------------------------------------------------------------------------

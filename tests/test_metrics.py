@@ -8,6 +8,7 @@ from copula_markov import (
     DomainError,
     GridCopula,
     IndependenceCopula,
+    InvariantError,
     LowerFrechetCopula,
     ResolutionCapError,
     archimedean_copula,
@@ -573,23 +574,14 @@ def test_idempotent_suite_sweep():
 
 def mesh_reference(c1, c2, signed):
     """sup_gap over the audit mesh from one full (u, v) array: the first
-    maximum in scan order, block by block of v-columns (the kernel's block
-    width), row by row within a block."""
+    maximum row by row."""
     us = np.unique(np.concatenate([np.linspace(0, 1, 257), c1.knots_u(), c2.knots_u()]))
     vs = np.unique(np.concatenate([np.linspace(0, 1, 257), c1.knots_v(), c2.knots_v()]))
     diff = np.asarray(c1.cdf(us[:, None], vs[None, :])) - np.asarray(c2.cdf(us[:, None], vs[None, :]))
     if not signed:
         diff = np.abs(diff)
-    step = max(1, int(4e6 / us.size))
-    starts = range(0, vs.size, step)
-    scan = np.concatenate([diff[:, s : s + step].ravel() for s in starts])
-    at = int(np.argmax(scan))
-    for s in starts:
-        block = diff[:, s : s + step]
-        if at < block.size:
-            i, j = divmod(at, block.shape[1])
-            return float(block[i, j]), (float(us[i]), float(vs[s + j]))
-        at -= block.size
+    i, j = divmod(int(np.argmax(diff)), vs.size)
+    return float(diff[i, j]), (float(us[i]), float(vs[j]))
 
 
 def swap_bumps(n, bumps):
@@ -605,10 +597,10 @@ def swap_bumps(n, bumps):
 
 
 def several_block_tie():
-    """A 2048-grid against the 1024-grid of Pi, with C1 - C2 = +1/(2 n^2)
-    at large u in the first block of v-columns and -1/(2 n^2) at small u
-    in the last: row-major over the whole mesh meets the minimum first,
-    the block scan the maximum."""
+    """A 2048-grid against the 1024-grid of Pi, a mesh of more than 4e6
+    points (several u-row slabs), with C1 - C2 = +1/(2 n^2) at large u and
+    small v and -1/(2 n^2) at small u and large v: row by row, the scan
+    meets the minimum first."""
     g = swap_bumps(2048, [((1900, 1910, 100, 110), 1), ((100, 110, 2000, 2010), -1)])
     return g, GridCopula(np.full((1024, 1024), 1.0 / 1024))
 
@@ -637,9 +629,38 @@ def test_an_unsigned_tie_on_several_blocks_takes_the_first_block():
     c1, c2 = several_block_tie()
     gap, (u, v) = sup_gap(c1, c2)
     assert gap == 0.5 / 2048**2
-    assert u > 0.9 and v < 0.1  # the maximum, in the first block
+    assert (u, v) == (101 / 2048, 2001 / 2048)  # the minimum, met first row by row
     low, (u_low, v_low) = sup_gap(c2, c1, signed=True)
-    assert low == gap and u_low < 0.1 and v_low > 0.9  # the minimum, in the last
+    assert low == gap and u_low < 0.1 and v_low > 0.9  # the minimum
+
+
+class _NanAtCenter(Copula):
+    """min(u, v), except NaN at (0.5, 0.5), a point of every audit mesh."""
+
+    def _cdf(self, u, v):
+        return np.where((u == 0.5) & (v == 0.5), np.nan, np.minimum(u, v))
+
+    def to_spec(self):
+        raise NotImplementedError
+
+
+@pytest.mark.parametrize(
+    "verdict",
+    [lambda c: d_inf(c, IndependenceCopula()), check_quadrant_dependence, check_si],
+    ids=["d_inf", "quadrant", "si"],
+)
+def test_a_nan_in_a_scan_is_refused(verdict):
+    with pytest.raises(InvariantError, match="NaN"):
+        verdict(_NanAtCenter())
+
+
+def test_the_cli_exits_2_on_a_nan_in_a_scan(monkeypatch, capsys):
+    from copula_markov import cli
+
+    monkeypatch.setattr(cli, "load_copula", lambda path: _NanAtCenter())
+    assert cli.main(["check", "nan.json", "--property", "pqd"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "NaN" in out.err
 
 
 def count_cdf_points(monkeypatch):

@@ -102,7 +102,7 @@ def cumsum_check_si(c, component, tol):
         si_worst = float(steps.max())
         sd_worst = float(-steps.min())
         k, l = np.unravel_index(np.argmax(steps), steps.shape)
-        witness = ((k + 0.5) / n, (k + 1.5) / n, (l + 1.0) / n)
+        witness = ((k + 0.5) / n, (k + 1.5) / n, (l + 1.0) / n) if si_worst > 0 else None
         verdict = si_worst <= tol, sd_worst <= tol, max(si_worst, 0.0), witness, "exact-cumsum"
     return MonotonicityVerdict(
         si=verdict[0],
@@ -150,7 +150,8 @@ def test_grid_si_check_slabs_match_the_full_step_table(rng, n):
             assert verdict.max_violation == max(float(steps.max()), 0.0)
             assert verdict.si == (steps.max() <= 1e-9)
             assert verdict.sd == (-steps.min() <= 1e-9)
-            assert verdict.witness == ((k + 0.5) / n, (k + 1.5) / n, (l + 1.0) / n)
+            breach = steps.max() > 0
+            assert verdict.witness == (((k + 0.5) / n, (k + 1.5) / n, (l + 1.0) / n) if breach else None)
 
 
 def test_grid_si_check_holds_no_full_size_temporary(rng):
@@ -419,6 +420,20 @@ def test_empirical_accepts_tables_and_flags_small_bins(pi):
 def test_empirical_rejects_increasing_function(pi):
     with pytest.raises(DomainError):
         empirical_si_check(pi, lambda t: t, samples=1000, seed=9)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (np.ones((3, 3)), "table of"),
+        ([[0.0, 1.0], [0.0, 0.5]], "abscissae must increase"),
+        ([[0.0, 0.0], [1.0, 1.0]], "must be decreasing"),
+    ],
+    ids=["shape", "abscissae", "increasing"],
+)
+def test_empirical_rejects_bad_tables(pi, table, message):
+    with pytest.raises(DomainError, match=message):
+        empirical_si_check(pi, table, samples=100, seed=9)
 
 
 def test_empirical_clayton_is_si_and_frank_negative_is_sd():

@@ -47,9 +47,10 @@ RECORDS = {
 }
 
 # json.dumps(record.to_json(), sort_keys=True) as each hand-written to_json
-# produced it, before the records shared one
+# produced it, before the records shared one; si-grid's witness is null
+# since an SI witness names a breach only
 GOLDEN = {
-    "si-grid": "{\"component\": 2, \"max_violation\": 0.0, \"method\": \"exact-cumsum\", \"sd\": false, \"si\": true, \"witness\": [0.125, 0.375, 0.25]}",
+    "si-grid": "{\"component\": 2, \"max_violation\": 0.0, \"method\": \"exact-cumsum\", \"sd\": false, \"si\": true, \"witness\": null}",
     "si-one-cell": "{\"component\": 1, \"max_violation\": 0.0, \"method\": \"exact-cumsum\", \"sd\": true, \"si\": true, \"witness\": null}",
     "si-closed": "{\"component\": 1, \"max_violation\": 0.00390625, \"method\": \"grid-certified\", \"sd\": true, \"si\": false, \"witness\": [0.01171875, 0.01953125, 0.984375]}",
     "idempotent": "{\"gap\": 0.0625, \"idempotent\": false, \"witness\": [0.25, 0.5]}",

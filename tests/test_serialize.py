@@ -275,6 +275,13 @@ def test_saved_copulas_reload_with_the_same_cdf(tmp_path):
         assert np.array_equal(load_copula(path).cdf(g[:, None], g), cop.cdf(g[:, None], g))
 
 
+def test_a_generator_table_needs_two_columns(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("0.0,1.0,2.0\n1.0,0.5,0.2\n")
+    with pytest.raises(SpecError, match="two columns"):
+        generator_from_csv(path)
+
+
 def test_non_numeric_csv_tables_raise_spec_errors(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("0.5,0.5\nabc,0.5\n")
