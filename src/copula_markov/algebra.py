@@ -36,6 +36,7 @@ from .core import (
     _check_count,
     _check_tol,
     _ConstantCopula,
+    _public,
     _Record,
 )
 from .families import OrdinalSumCopula
@@ -288,8 +289,7 @@ def quadrature_markov_product(c1: Copula, c2: Copula, panels: int):
             return left @ right / panels
         left = c1.partial_derivative(2, u[..., None], t)
         right = c2.partial_derivative(1, t, v[..., None])
-        out = (left * right).sum(axis=-1) / panels
-        return out if out.shape else float(out)
+        return _public((left * right).sum(axis=-1) / panels)
 
     return value
 
@@ -331,7 +331,7 @@ def power(c: Copula, n: int, resolution=DEFAULT_RESOLUTION, cap=None):
 class IdempotenceVerdict(_Record):
     idempotent: bool
     gap: float
-    witness: tuple
+    witness: tuple | None
 
     def __bool__(self):
         return self.idempotent
@@ -351,7 +351,7 @@ def is_idempotent(c: Copula, tol=1e-9, resolution=DEFAULT_RESOLUTION) -> Idempot
     """
     _check_tol(tol, positive=True)
     if isinstance(c, OrdinalSumCopula):
-        gap, witness = 0.0, (0.0, 0.0)
+        gap, witness = 0.0, None
         for (a, b), comp in zip(c.intervals, c.components):
             sub = is_idempotent(comp, tol=tol, resolution=resolution)
             scaled = (b - a) * sub.gap
@@ -361,7 +361,7 @@ def is_idempotent(c: Copula, tol=1e-9, resolution=DEFAULT_RESOLUTION) -> Idempot
         return IdempotenceVerdict(bool(gap <= tol), float(gap), witness)
     if isinstance(c, TransposedCopula):
         sub = is_idempotent(c.base, tol=tol, resolution=resolution)
-        return IdempotenceVerdict(sub.idempotent, sub.gap, sub.witness[::-1])
+        return IdempotenceVerdict(sub.idempotent, sub.gap, sub.witness and sub.witness[::-1])
     square, c = _product_and_operand(c, c, resolution=resolution)
     gap, witness = metrics.sup_gap(square, c)
     return IdempotenceVerdict(bool(gap <= tol), float(gap), witness)

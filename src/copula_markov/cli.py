@@ -142,16 +142,12 @@ _METRICS = {
 
 def cmd_metric(args) -> int:
     metric, arity = _METRICS[args.metric]
-    a = load_copula(args.spec_a)
-    if arity == 1:
-        value = metric(a)
-        b_name = None
-    else:
-        if not args.spec_b:
-            raise DomainError(f"metric {args.metric} needs two specs")
-        value = metric(a, load_copula(args.spec_b))
-        b_name = args.spec_b
-    _emit({"metric": args.metric, "value": value, "copula_a": args.spec_a, "copula_b": b_name})
+    specs = [spec for spec in (args.spec_a, args.spec_b) if spec is not None]
+    if len(specs) != arity:
+        needs = ("one spec", "two specs")[arity - 1]
+        raise DomainError(f"metric {args.metric} needs {needs}, got {len(specs)}")
+    value = metric(*map(load_copula, specs))
+    _emit({"metric": args.metric, "value": value, "copula_a": args.spec_a, "copula_b": args.spec_b})
     return 0
 
 

@@ -39,7 +39,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _D1_U_PANELS = 24
 _D1_T_CELLS = 2048
 
-#: corners per slab of the grid sup-gap kernel (a 512 KiB float buffer)
+#: entries per slab of every streamed scan (a 512 KiB float buffer)
 _CORNER_SLAB = 1 << 16
 
 
@@ -94,26 +94,27 @@ def _corner_rows(g: GridCopula, rows):
 
 
 def _extremes(c1: Copula, c2: Copula):
-    """Max and min of C1 - C2, each with the first point attaining it and
-    its position in the scan: ``((max, point, position), (min, point,
-    position))``.  The scan runs row by row over the lattice us x vs: the
-    corners of two grids of one resolution, the audit mesh of any other
-    pair, the latter in slabs of u-rows of at most 4e6 points."""
+    """Max and min of C1 - C2, each with the first point attaining it
+    (``None`` for an extreme equal to 0) and its position in the scan:
+    ``((max, point, position), (min, point, position))``.  The scan runs row
+    by row over the lattice us x vs: the corners of two grids of one
+    resolution, the audit mesh of any other pair, both in slabs of whole
+    rows of at most ``_CORNER_SLAB`` points (one row if a row is longer)."""
     if isinstance(c1, GridCopula) and isinstance(c2, GridCopula) and c1.n == c2.n:
         us = vs = np.arange(c1.n + 1) / c1.n
         hi, at_hi, lo, at_lo = _corner_extremes(c1, c2)
     else:
         us = _axis_points(c1.knots_u(), c2.knots_u())
         vs = _axis_points(c1.knots_v(), c2.knots_v())
-        rows = max(1, int(4e6 / vs.size))  # bounds the memory of one slab
+        rows = max(1, _CORNER_SLAB // vs.size)
         slabs = (us[s : s + rows, None] for s in range(0, us.size, rows))
         hi, at_hi, lo, at_lo = _first_extremes(c1.cdf(u, vs) - c2.cdf(u, vs) for u in slabs)
 
-    def point(at):
+    def point(value, at):
         i, j = divmod(at, vs.size)
-        return float(us[i]), float(vs[j])
+        return (float(us[i]), float(vs[j])) if value else None
 
-    return (hi, point(at_hi), at_hi), (lo, point(at_lo), at_lo)
+    return (hi, point(hi, at_hi), at_hi), (lo, point(lo, at_lo), at_lo)
 
 
 def sup_gap(c1: Copula, c2: Copula, signed=False):
@@ -125,6 +126,7 @@ def sup_gap(c1: Copula, c2: Copula, signed=False):
     knots of both operands, which is exact for grids of different
     resolutions too, since their knots are all their corners.  Unsigned, a
     tie between the max and the negated min takes the point scanned first.
+    A gap of 0 has no witness: its point is ``None``.
     """
     (hi, hi_uv, hi_pos), (lo, lo_uv, lo_pos) = _extremes(c1, c2)
     if signed or abs(hi) > abs(lo):

@@ -115,26 +115,24 @@ def _running_sum_steps(a):
     rows of ``a``, in row-major order, as slabs of at most
     ``metrics._CORNER_SLAB`` entries.
 
-    A slab of a transposed view is copied contiguous first.  The last
-    running-sum row of each slab is carried into the next, and cumsum adds
-    in sequence, so every value has the bits of the full-table difference.
+    Each slab reads one row past its end, the first row of the next slab,
+    so slabs overlap by one row and none carries state into the next.  A
+    slab of a transposed view is copied contiguous first; cumsum adds in
+    sequence, so every value has the bits of the full-table difference.
     """
     n = a.shape[0]
-    rows = min(n, max(1, metrics._CORNER_SLAB // n))
-    cum = np.empty((rows + 1, n))  # row 0: the last running sums above the slab
-    steps = np.empty((rows, n))
-    for start in range(0, n, rows):
-        m = min(rows, n - start)
-        sums = cum[1 : m + 1]
-        block = a[start : start + m]
+    rows = max(1, metrics._CORNER_SLAB // n)
+    cum = np.empty((min(rows, n - 1) + 1, n))
+    steps = np.empty((min(rows, n - 1), n))
+    for start in range(0, n - 1, rows):
+        m = min(rows, n - 1 - start)
+        lines = cum[: m + 1]
+        block = a[start : start + m + 1]
         if not block.flags.c_contiguous:
-            sums[:] = block
-            block = sums
-        np.cumsum(block, axis=1, out=sums)
-        lines = cum[: m + 1] if start else sums
-        if len(lines) > 1:
-            yield np.subtract(lines[1:], lines[:-1], out=steps[: len(lines) - 1])
-        cum[0] = sums[-1]
+            lines[:] = block
+            block = lines
+        np.cumsum(block, axis=1, out=lines)
+        yield np.subtract(lines[1:], lines[:-1], out=steps[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +144,7 @@ def _running_sum_steps(a):
 class DominanceVerdict(_Record):
     holds: bool
     gap: float
-    witness: tuple
+    witness: Optional[tuple]
     reversed: bool
 
     def __bool__(self):

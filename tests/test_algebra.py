@@ -368,6 +368,14 @@ def test_quadrature_exact_on_aligned_panels(checker3):
         assert np.max(np.abs(lattice - square.corner_cdf())) <= 1e-12
 
 
+def test_quadrature_returns_a_float_at_a_point_and_an_array_at_points(checker3):
+    oracle = quadrature_markov_product(checker3, checker3, 3 * 17)
+    assert type(oracle(0.25, 0.5)) is float
+    values = oracle(np.array([0.25, 0.5]), np.array([0.5, 0.75]))
+    assert isinstance(values, np.ndarray) and values.shape == (2,)
+    assert values[0] == oracle(0.25, 0.5)
+
+
 def test_quadrature_rejects_small_panel_count(pi, upper):
     with pytest.raises(DomainError):
         quadrature_markov_product(pi, upper, 4)
@@ -526,6 +534,14 @@ def test_idempotent_transposed_ordinal_sum(pi):
     verdict = is_idempotent(transpose(ordinal_sum([(0.0, 1 / 3)], [pi])))
     assert verdict.idempotent
     assert verdict.gap == 0.0
+
+
+def test_a_zero_idempotence_gap_has_no_witness(pi):
+    cop = ordinal_sum([(0.1, 0.3), (0.5, 0.9)], [pi, pi])
+    loaded = copula_from_spec({"type": "transpose", "of": cop.to_spec()})
+    for c in (cop, transpose(cop), loaded):
+        verdict = is_idempotent(c)
+        assert verdict.gap == 0.0 and verdict.witness is None
 
 
 def test_idempotent_loaded_transpose_takes_the_base_verdict(pi, checker3):

@@ -387,9 +387,17 @@ def test_metric_commands(specs, capsys):
 
 
 def test_metric_requires_second_spec(specs, capsys):
-    code, _, err = run(capsys, "metric", specs["pi.json"], "--metric", "d1")
-    assert code == 2
-    assert "two specs" in err
+    code, out, err = run(capsys, "metric", specs["pi.json"], "--metric", "d1")
+    assert code == 2 and out == ""
+    assert "needs two specs, got 1" in err
+
+
+def test_metric_refuses_a_spec_it_would_ignore(specs, capsys):
+    code, out, err = run(
+        capsys, "metric", specs["checker3.json"], specs["pi.json"], "--metric", "sobolev-diag"
+    )
+    assert code == 2 and out == ""
+    assert "needs one spec, got 2" in err
 
 
 # ---------------------------------------------------------------------------

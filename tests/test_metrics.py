@@ -28,6 +28,7 @@ from copula_markov import (
     sobolev_diagonal,
     transpose,
 )
+from copula_markov import metrics
 from copula_markov.metrics import (
     _CORNER_SLAB,
     _D1_T_CELLS,
@@ -107,13 +108,15 @@ def test_sup_gap_common_resolution_grids_on_corners(rng):
 
 
 def reference_sup_gap(a, b, signed=False):
-    """The corner-lattice gap as argmax over the whole difference array."""
+    """The corner-lattice gap as argmax over the whole difference array; a
+    gap of 0 has no witness."""
     n = a.shape[0]
     diff = (prefix_sums(a) - prefix_sums(b)) / n
     if not signed:
         diff = np.abs(diff)
     i, j = np.unravel_index(np.argmax(diff), diff.shape)
-    return float(diff[i, j]), (int(i) / n, int(j) / n)
+    gap = float(diff[i, j])
+    return gap, (int(i) / n, int(j) / n) if gap else None
 
 
 def test_sup_gap_matches_argmax_reference_including_ties(rng):
@@ -187,6 +190,15 @@ def test_grid_sup_gap_and_d1_hold_no_full_size_temporary(rng):
     assert traced_peak(d_inf, a, b) < half_matrix
     assert traced_peak(d1_metric, a, b) < half_matrix
     assert "_prefix" not in vars(a) and "_prefix" not in vars(b)
+
+
+def test_mesh_scans_hold_slabs_not_the_mesh(rng):
+    # meshes of 1537^2 and 1025^2 points, in slabs of about _CORNER_SLAB
+    a = GridCopula(random_doubly_stochastic(rng, 512, n_perms=12))
+    b = GridCopula(random_doubly_stochastic(rng, 768, n_perms=12))
+    c = GridCopula(random_doubly_stochastic(rng, 1024, n_perms=12))
+    assert traced_peak(d_inf, a, b) < 16 << 20
+    assert traced_peak(check_quadrant_dependence, c) < 16 << 20
 
 
 def test_sup_gap_mixed_resolution_grids_exact(rng):
@@ -597,8 +609,8 @@ def swap_bumps(n, bumps):
 
 
 def several_block_tie():
-    """A 2048-grid against the 1024-grid of Pi, a mesh of more than 4e6
-    points (several u-row slabs), with C1 - C2 = +1/(2 n^2) at large u and
+    """A 2048-grid against the 1024-grid of Pi, a mesh of 2049^2 points
+    (many u-row slabs), with C1 - C2 = +1/(2 n^2) at large u and
     small v and -1/(2 n^2) at small u and large v: row by row, the scan
     meets the minimum first."""
     g = swap_bumps(2048, [((1900, 1910, 100, 110), 1), ((100, 110, 2000, 2010), -1)])
@@ -610,7 +622,7 @@ def several_block_tie():
     "pair",
     ["tie", "tie-reversed", "mixed", "closed", "grid-closed", "several-blocks"],
 )
-def test_sup_gap_on_the_mesh_matches_the_full_array_reference(pair, signed, rng):
+def test_sup_gap_on_the_mesh_matches_the_full_array_reference(pair, signed, rng, monkeypatch):
     tie_3 = GridCopula(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1.0]]))
     tie_2 = GridCopula(np.eye(2))  # against tie_3: +-1/6 on the mesh
     clayton = archimedean_copula(clayton_generator(2.0))
@@ -622,7 +634,11 @@ def test_sup_gap_on_the_mesh_matches_the_full_array_reference(pair, signed, rng)
         "grid-closed": (GridCopula(random_doubly_stochastic(rng, 12)), clayton),
         "several-blocks": several_block_tie(),
     }[pair]
-    assert sup_gap(c1, c2, signed=signed) == mesh_reference(c1, c2, signed)
+    reference = mesh_reference(c1, c2, signed)
+    # a slab of 1 scans one mesh row per cdf call
+    for slab in (_CORNER_SLAB, 1):
+        monkeypatch.setattr(metrics, "_CORNER_SLAB", slab)
+        assert sup_gap(c1, c2, signed=signed) == reference
 
 
 def test_an_unsigned_tie_on_several_blocks_takes_the_first_block():
@@ -664,16 +680,25 @@ def test_the_cli_exits_2_on_a_nan_in_a_scan(monkeypatch, capsys):
 
 
 def count_cdf_points(monkeypatch):
-    """Record the points of every public cdf evaluation."""
+    """Record the copula and the points of every public cdf evaluation."""
     points = []
     cdf = Copula.cdf
 
     def counted(self, u, v):
-        points.append(np.broadcast(np.asarray(u), np.asarray(v)).size)
+        points.append((self, np.broadcast(np.asarray(u), np.asarray(v)).size))
         return cdf(self, u, v)
 
     monkeypatch.setattr(Copula, "cdf", counted)
     return points
+
+
+def assert_each_evaluates_the_mesh_once(points, c, mesh):
+    """Slab by slab, C and then Pi; the points of each sum to the mesh."""
+    c_calls, pi_calls = points[::2], points[1::2]
+    assert all(owner is c for owner, _ in c_calls)
+    assert all(isinstance(owner, IndependenceCopula) and owner is not c for owner, _ in pi_calls)
+    assert [size for _, size in c_calls] == [size for _, size in pi_calls]
+    assert sum(size for _, size in c_calls) == mesh
 
 
 @pytest.mark.parametrize("kind", ["clayton", "grid"])
@@ -685,7 +710,7 @@ def test_quadrant_check_evaluates_the_mesh_once(monkeypatch, rng, kind):
     mesh = np.unique(np.concatenate([np.linspace(0, 1, 257), c.knots_u()])).size ** 2
     points = count_cdf_points(monkeypatch)
     verdict = check_quadrant_dependence(c)
-    assert points == [mesh, mesh]  # C and Pi, once each
+    assert_each_evaluates_the_mesh_once(points, c, mesh)
     assert verdict.max_above_independence == max(sup_gap(c, IndependenceCopula(), signed=True)[0], 0.0)
     assert verdict.max_below_independence == max(sup_gap(IndependenceCopula(), c, signed=True)[0], 0.0)
 
@@ -699,7 +724,8 @@ def test_nqd_check_evaluates_the_mesh_once(monkeypatch):
     pi = IndependenceCopula()
     points = count_cdf_points(monkeypatch)
     verdict = nqd_idempotent_check(pi)
-    assert points.count(257**2) == 2  # C and Pi, once each; then the Sobolev diagonal
+    assert_each_evaluates_the_mesh_once(points[:-1], pi, 257**2)
+    assert points[-1][1] == 1025  # then the Sobolev diagonal
     assert verdict.nqd and verdict.consistent
     assert verdict.d_inf_to_independence == 0.0
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from copula_markov import (
     si_sd_involution,
 )
 
-from copula_markov import monotonicity
+from copula_markov import metrics, monotonicity
 from copula_markov.algebra import transpose
 from copula_markov.core import _running_sums
 from copula_markov.metrics import sup_gap
@@ -137,10 +139,13 @@ def test_grid_si_check_matches_the_cumsum_reference(rng, n):
 
 
 @pytest.mark.parametrize("n", [2, 300, 700])
-def test_grid_si_check_slabs_match_the_full_step_table(rng, n):
+def test_grid_si_check_slabs_match_the_full_step_table(rng, n, monkeypatch):
     si = 0.6 * np.eye(n) + 0.4 / n
-    for a in (si, si[::-1].copy(), random_doubly_stochastic(rng, n, n_perms=min(n, 12))):
-        grid = GridCopula(a)
+    mixture = random_doubly_stochastic(rng, n, n_perms=min(n, 12))
+    grids = [GridCopula(a) for a in (si, si[::-1].copy(), mixture)]
+    # a slab of 1 reads one row of steps at a time: every overlap is an edge
+    for slab, grid in itertools.product((metrics._CORNER_SLAB, 1), grids):
+        monkeypatch.setattr(metrics, "_CORNER_SLAB", slab)
         for component, lines in ((1, grid.matrix), (2, grid.matrix.T)):
             steps = np.diff(_running_sums(lines)[:, 1:], axis=0)
             slabs = np.concatenate([s.flatten() for s in monotonicity._running_sum_steps(lines)])
@@ -159,6 +164,17 @@ def test_grid_si_check_holds_no_full_size_temporary(rng):
     grid = GridCopula(random_doubly_stochastic(rng, n, n_perms=12))
     for component in (1, 2):
         assert traced_peak(check_si, grid, component) < n * n * 8 // 2
+
+
+def test_a_zero_sup_gap_has_no_witness(pi):
+    g = GridCopula(np.eye(4))
+    assert sup_gap(g, g) == sup_gap(g, g, signed=True) == (0.0, None)
+    for reverse in (False, True):
+        verdict = check_dominance(g, g, reverse=reverse)
+        assert verdict.holds and verdict.gap == 0.0 and verdict.witness is None
+    # Pi <= g on the mesh: the signed gap is 0; the min, below 0, has a point
+    assert sup_gap(pi, g, signed=True) == (0.0, None)
+    assert sup_gap(pi, g)[1] is not None
 
 
 def test_grid_si_check_builds_no_transposed_grid(checker3, monkeypatch):
