@@ -454,13 +454,11 @@ def iterate_to_limit(
             nxt = GridCopula._trusted(take())
             if step < max_iter:
                 requests.put(nxt.matrix)
-            # the sup gap and the largest increase, from one corner difference;
-            # nxt is compared twice, so its corner table is built once
-            nxt._prefix
-            hi, _, lo, _ = metrics._corner_extremes(nxt, current)
+            # the sup gap, the largest increase and D1, from one pass
+            hi, lo, d1 = metrics._step_gaps(nxt, current)
             sup_gap = max(abs(hi), abs(lo))
             worst_increase = max(worst_increase, max(hi, 0.0))
-            steps.append((step, sup_gap, metrics._d1_grids(nxt, current)))
+            steps.append((step, sup_gap, d1))
             current = nxt
             if sup_gap < tol:
                 converged = True

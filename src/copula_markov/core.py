@@ -251,10 +251,6 @@ class Copula(abc.ABC):
 
     # -- conditioning and sampling -------------------------------------------
 
-    def conditional_cdf(self, u, t):
-        """t -> d1 C(u, t), the conditional law of the second coordinate."""
-        return self.partial_derivative(1, u, t)
-
     def conditional_quantile(self, u, w):
         """Generalized inverse inf{t : d1 C(u, t) >= w}; u and w broadcast."""
         return self._quantile(_check_unit(u, "u"), _check_unit(w, "w"))
@@ -363,10 +359,16 @@ class GridCopula(Copula):
 
     @cached_property
     def _prefix(self):
-        """(n+1)x(n+1) corner values n*C(k/n, l/n), i.e. 2-d prefix sums."""
+        """(n+1)x(n+1) corner values n*C(k/n, l/n), i.e. 2-d prefix sums:
+        column sums added along contiguous rows (the additions of a strided
+        cumsum(axis=0)), then summed along each row."""
         n = self.n
         p = np.zeros((n + 1, n + 1))
-        next(_corner_slabs(self.matrix, p))  # one slab: the whole table
+        body = p[1:, 1:]
+        above = p[0, 1:]
+        for row, line in zip(body, self.matrix):
+            above = np.add(above, line, out=row)
+        np.cumsum(body, axis=1, out=body)
         p.setflags(write=False)
         return p
 
@@ -461,34 +463,6 @@ class GridCopula(Copula):
 
     def to_spec(self):
         return {"type": "checkerboard", "matrix": self.matrix.tolist()}
-
-
-def _corner_slabs(a, buf):
-    """The corner values n C(k/n, l/n) of the grid with matrix ``a`` (its
-    2-d prefix sums), ``len(buf)`` corner rows at a time: each slab is
-    written into the first rows of ``buf`` and yielded as a view of it.
-
-    Column sums run row by row, the additions of cumsum(axis=0) in the
-    same order but along contiguous rows, and the last row of column sums
-    is carried into the next slab; each slab is then summed along its
-    rows.  So every slab holds the bits of the full table's rows.
-    """
-    n = a.shape[0]
-    carry = np.empty(n)  # column sums of the rows above the slab
-    for start in range(0, n + 1, len(buf)):
-        slab = buf[: min(len(buf), n + 1 - start)]
-        slab[:, 0] = 0.0
-        body = slab[:, 1:]
-        above = carry
-        for row, k in zip(body, range(start, start + len(slab))):
-            if k > 1:
-                np.add(above, a[k - 1], out=row)
-            else:  # corner row 0 is zero, row 1 is a[0] itself
-                row[:] = a[0] if k else 0.0
-            above = row
-        carry[:] = body[-1]
-        np.cumsum(body, axis=1, out=body)
-        yield slab
 
 
 def _running_sums(a):

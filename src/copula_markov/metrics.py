@@ -1,5 +1,9 @@
 """Distances and functionals on copulas: sup distance, the integrated
-partial-derivative distance D1, and the diagonal Sobolev functional."""
+partial-derivative distance D1, and the diagonal Sobolev functional.
+
+Every comparison of two grids of one resolution (sup gap, D1, the grid SI
+check, the ``iterate_to_limit`` step) reads the running sums of the
+difference of their matrices, :func:`_difference_sums`."""
 
 from __future__ import annotations
 
@@ -13,14 +17,11 @@ from .core import (
     GridCopula,
     IndependenceCopula,
     InvariantError,
-    _check_count,
-    _corner_slabs,
     _Record,
 )
 
 __all__ = [
     "d_inf",
-    "d_inf_witness",
     "sup_gap",
     "d1_metric",
     "sobolev_diagonal",
@@ -66,31 +67,65 @@ def _first_extremes(blocks):
     return hi, at_hi, lo, at_lo
 
 
+def _slab_rows(width):
+    """Rows of ``width`` entries per slab of a streamed scan."""
+    return max(1, _CORNER_SLAB // width)
+
+
+def _difference_sums(a1, a2, buf=None):
+    """The running sums along the rows of ``a1 - a2`` (two arrays of one
+    shape) in row-major slabs of :func:`_slab_rows` rows, each subtracted
+    into ``buf`` (by default a new one-slab buffer), summed along its rows
+    in place and yielded as a view of it.  Reducing the difference, not
+    differencing two reductions, cancels equal entries to exact zeros
+    before any sum is rounded."""
+    lines, width = a1.shape
+    rows = _slab_rows(width)
+    buf = np.empty((min(rows, lines), width)) if buf is None else buf
+    for start in range(0, lines, rows):
+        cum = buf[: min(rows, lines - start)]
+        np.subtract(a1[start : start + rows], a2[start : start + rows], out=cum)
+        yield np.cumsum(cum, axis=1, out=cum)
+
+
+def _corner_values(sums, n):
+    """The corner values (C1 - C2)(k/n, l/n) of two grids in row-major slabs:
+    corner row 0, then the running sums down the columns of the slabs
+    ``sums`` of :func:`_difference_sums` of their matrices, added row by row
+    along contiguous rows and carried across slabs, over n."""
+    yield np.zeros(n + 1)
+    buf = np.zeros((min(_slab_rows(n), n), n + 1))
+    carry = np.zeros(n)  # column sums of the rows above the slab
+    for cum in sums:
+        slab = buf[: len(cum)]
+        above = carry
+        for row, line in zip(slab[:, 1:], cum):
+            above = np.add(above, line, out=row)
+        carry[:] = above
+        yield np.divide(slab, n, out=slab)
+
+
 def _corner_extremes(g1: GridCopula, g2: GridCopula):
     """Max and min of (C1 - C2) on the corner lattice of two grids of one
     resolution, each with its row-major flat corner index (the first one
     attaining it): ``(max, max_index, min, min_index)``."""
-    # slabs of corner rows through cache-sized buffers, not (n+1)^2 tables
-    n = g1.n
-    rows = min(n + 1, max(1, _CORNER_SLAB // (n + 1)))
-    buf = np.empty((rows, n + 1))
-
-    def slabs():
-        for r1, r2 in zip(_corner_rows(g1, rows), _corner_rows(g2, rows)):
-            diff = np.subtract(r1, r2, out=buf[: len(r1)])
-            yield np.divide(diff, n, out=diff)
-
-    return _first_extremes(slabs())
+    return _first_extremes(_corner_values(_difference_sums(g1.matrix, g2.matrix), g1.n))
 
 
-def _corner_rows(g: GridCopula, rows):
-    """The corner values n C(k/n, l/n) of ``g``, ``rows`` corner rows at a
-    time: slices of its corner table when one is cached, else built slab
-    by slab with the table's own additions."""
-    table = vars(g).get("_prefix")
-    if table is not None:
-        return (table[s : s + rows] for s in range(0, g.n + 1, rows))
-    return _corner_slabs(g.matrix, np.empty((rows, g.n + 1)))
+def _step_gaps(g1: GridCopula, g2: GridCopula):
+    """``(max, min, D1)``: the corner extremes of C1 - C2 (as
+    :func:`_corner_extremes`) and :func:`_d1_grids` of two grids of one
+    resolution, from one pass over the running sums of their difference."""
+    parts = []
+
+    def sums():
+        for cum in _difference_sums(g1.matrix, g2.matrix):
+            yield cum
+            # the corner pass has read the slab; D1 takes |cum| in place
+            parts.append(_d1_parts(cum))
+
+    hi, _, lo, _ = _first_extremes(_corner_values(sums(), g1.n))
+    return hi, lo, _d1_total(parts, g1.n)
 
 
 def _extremes(c1: Copula, c2: Copula):
@@ -106,7 +141,7 @@ def _extremes(c1: Copula, c2: Copula):
     else:
         us = _axis_points(c1.knots_u(), c2.knots_u())
         vs = _axis_points(c1.knots_v(), c2.knots_v())
-        rows = max(1, _CORNER_SLAB // vs.size)
+        rows = _slab_rows(vs.size)
         slabs = (us[s : s + rows, None] for s in range(0, us.size, rows))
         hi, at_hi, lo, at_lo = _first_extremes(c1.cdf(u, vs) - c2.cdf(u, vs) for u in slabs)
 
@@ -132,11 +167,6 @@ def sup_gap(c1: Copula, c2: Copula, signed=False):
     if signed or abs(hi) > abs(lo):
         return hi, hi_uv
     return abs(lo), lo_uv if abs(lo) > abs(hi) or lo_pos < hi_pos else hi_uv
-
-
-def d_inf_witness(c1: Copula, c2: Copula):
-    """Sup distance together with a point attaining it (see :func:`sup_gap`)."""
-    return sup_gap(c1, c2)
 
 
 def d_inf(c1: Copula, c2: Copula) -> float:
@@ -178,29 +208,29 @@ def d1_metric(c1: Copula, c2: Copula) -> float:
 
 
 def _d1_grids(g1: GridCopula, g2: GridCopula) -> float:
-    n = g1.n
-    rows = max(1, _CORNER_SLAB // n)
-    buf = np.empty((min(rows, n), n))
-    trapezoid = crossing = 0.0
-    # slab by slab of u-cells: on u-cell k, the derivative gap is linear in
-    # v across v-cell m, from y0 = cum[k, m - 1] (0 for m = 0) to
-    # y1 = cum[k, m]
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        cum = buf[: stop - start]
-        np.subtract(g1.matrix[start:stop], g2.matrix[start:stop], out=cum)
-        np.cumsum(cum, axis=1, out=cum)
-        neg = cum < 0.0
-        pos = cum > 0.0
-        flips = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
-        np.abs(cum, out=cum)
-        # the integral of |y| over a cell is the trapezoid (|y0| + |y1|) / 2,
-        # less |y0| |y1| / (|y0| + |y1|) where y changes sign; the trapezoids
-        # sum to every |y| with half weight on the end columns (y is 0 at v = 0)
-        trapezoid += cum.sum() - 0.5 * cum[:, -1].sum()
-        y0 = cum[:, :-1][flips]
-        y1 = cum[:, 1:][flips]
-        crossing += np.sum(y0 * y1 / (y0 + y1))
+    return _d1_total(map(_d1_parts, _difference_sums(g1.matrix, g2.matrix)), g1.n)
+
+
+def _d1_parts(cum):
+    """``(trapezoid, crossing)`` of grid D1 over one slab ``cum`` of the
+    running sums of the matrix difference, which is left holding |cum|.
+    On u-cell k, the derivative gap is linear in v across v-cell m, from
+    y0 = cum[k, m - 1] (0 for m = 0) to y1 = cum[k, m]; the integral of |y|
+    over a cell is the trapezoid (|y0| + |y1|) / 2, less |y0| |y1| /
+    (|y0| + |y1|) where y changes sign, and the trapezoids sum to every |y|
+    with half weight on the end columns (y is 0 at v = 0)."""
+    neg = cum < 0.0
+    pos = cum > 0.0
+    flips = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
+    np.abs(cum, out=cum)
+    y0 = cum[:, :-1][flips]
+    y1 = cum[:, 1:][flips]
+    return cum.sum() - 0.5 * cum[:, -1].sum(), np.sum(y0 * y1 / (y0 + y1))
+
+
+def _d1_total(parts, n):
+    """Grid D1 from the per-slab sums of :func:`_d1_parts`, in slab order."""
+    trapezoid, crossing = map(sum, zip(*parts))
     return float((trapezoid - crossing) / n**2)
 
 
@@ -276,13 +306,6 @@ def _panel_slices(c1, c2, us, cells, fixed):
 def _derivative_gap(c1, c2, u, t):
     """|d1 C1(u, t) - d1 C2(u, t)|, one derivative call per operand."""
     return np.abs(c1.partial_derivative(1, u, t) - c2.partial_derivative(1, u, t))
-
-
-def d1_midpoint(c1: Copula, c2: Copula, panels=512) -> float:
-    """Plain midpoint-rule estimate of the D1 integral (validation oracle)."""
-    panels = _check_count(panels, "panels")
-    t = (np.arange(panels) + 0.5) / panels
-    return float(_derivative_gap(c1, c2, t[:, None], t[None, :]).mean())
 
 
 # ---------------------------------------------------------------------------

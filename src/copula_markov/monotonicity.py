@@ -69,7 +69,9 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
     """SI/SD verdict for ``component`` (grids exact, closed forms certified).
 
     Grid path: the cumulative row sums S_k(l) of the matrix must be
-    non-increasing in k for every l, compared exactly within ``tol``.
+    non-increasing in k for every l, within ``tol``.  Each step
+    S_{k+1}(l) - S_k(l) sums the differences of the two rows, which cancel
+    exactly where entries agree, so a I + (1 - a) J / n passes at tol=0.
     Closed-form path: concavity/convexity of the sections via second
     differences on a ``u_points`` x ``v_points`` audit grid.  Both scan
     their steps row by row in one pass; a NaN among them raises
@@ -111,28 +113,21 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
 
 
 def _running_sum_steps(a):
-    """The row differences S_{k+1} - S_k of the running sums along the
-    rows of ``a``, in row-major order, as slabs of at most
-    ``metrics._CORNER_SLAB`` entries.
-
-    Each slab reads one row past its end, the first row of the next slab,
-    so slabs overlap by one row and none carries state into the next.  A
-    slab of a transposed view is copied contiguous first; cumsum adds in
-    sequence, so every value has the bits of the full-table difference.
-    """
+    """The steps S_{k+1} - S_k between the running sums along neighbouring
+    rows of ``a``, the running sums of a[k+1] - a[k], in row-major slabs
+    (:func:`metrics._difference_sums`).  A transposed view is copied
+    contiguous one slab at a time, with the first row of the next, so each
+    of its entries is read once and the differences read contiguous rows."""
     n = a.shape[0]
-    rows = max(1, metrics._CORNER_SLAB // n)
-    cum = np.empty((min(rows, n - 1) + 1, n))
-    steps = np.empty((min(rows, n - 1), n))
+    if a.flags.c_contiguous:
+        yield from metrics._difference_sums(a[1:], a[:-1])
+        return
+    rows = metrics._slab_rows(n)
+    lines, steps = np.empty((min(rows, n - 1) + 1, n)), np.empty((min(rows, n - 1), n))
     for start in range(0, n - 1, rows):
-        m = min(rows, n - 1 - start)
-        lines = cum[: m + 1]
-        block = a[start : start + m + 1]
-        if not block.flags.c_contiguous:
-            lines[:] = block
-            block = lines
-        np.cumsum(block, axis=1, out=lines)
-        yield np.subtract(lines[1:], lines[:-1], out=steps[:m])
+        block = lines[: min(rows, n - 1 - start) + 1]
+        block[:] = a[start : start + len(block)]
+        yield from metrics._difference_sums(block[1:], block[:-1], steps)
 
 
 # ---------------------------------------------------------------------------

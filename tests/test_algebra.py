@@ -854,7 +854,7 @@ def test_iterate_runs_package_code_on_the_calling_thread(monkeypatch):
     prefix = cached_property(recorded("prefix", GridCopula.__dict__["_prefix"].func))
     prefix.__set_name__(GridCopula, "_prefix")
     monkeypatch.setattr(GridCopula, "_prefix", prefix)
-    monkeypatch.setattr(metrics, "_d1_grids", recorded("d1", metrics._d1_grids))
+    monkeypatch.setattr(metrics, "_step_gaps", recorded("gaps", metrics._step_gaps))
     monkeypatch.setattr(
         core, "_validate_doubly_stochastic", recorded("validate", core._validate_doubly_stochastic)
     )
@@ -866,9 +866,29 @@ def test_iterate_runs_package_code_on_the_calling_thread(monkeypatch):
     report = iterate_to_limit(GridCopula(si_grid(16, planted=True).matrix))
     assert report.converged and report.n_steps > 2
     caller = {threading.get_ident()}
-    for name in ("prefix", "d1", "validate", "trusted"):
+    for name in ("prefix", "gaps", "validate", "trusted"):
         assert seen[name] == caller, name
     assert seen["matmul"].isdisjoint(caller)
+
+
+def test_a_converged_iterate_builds_one_corner_table(monkeypatch):
+    """The steps read the difference of consecutive iterates, not their
+    corner tables; only the limit's is built, for its decomposition."""
+    built = []
+
+    def build(grid):
+        built.append(grid)
+        return original(grid)
+
+    original = GridCopula.__dict__["_prefix"].func
+    prefix = cached_property(build)
+    prefix.__set_name__(GridCopula, "_prefix")
+    monkeypatch.setattr(GridCopula, "_prefix", prefix)
+    for planted in (False, True):
+        built.clear()
+        report = iterate_to_limit(si_grid(64, planted))
+        assert report.converged and report.n_steps > 2
+        assert len(built) == 1 and built[0] is report.limit
 
 
 # ---------------------------------------------------------------------------

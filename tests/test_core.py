@@ -17,7 +17,7 @@ from copula_markov import (
     StepFunction,
     TransposedCopula,
 )
-from copula_markov import core, metrics
+from copula_markov import metrics
 from copula_markov.core import cell_index
 
 from conftest import CHECKER3, count_validations, random_doubly_stochastic
@@ -355,9 +355,9 @@ def test_sample_conditional_quantile_inverts_conditional_cdf(checker3, rng):
     for _ in range(30):
         u, w = rng.random(2)
         v = float(checker3.conditional_quantile(u, w))
-        assert checker3.conditional_cdf(u, v) >= w - 1e-12
+        assert checker3.partial_derivative(1, u, v) >= w - 1e-12
         if v > 1e-9:
-            assert checker3.conditional_cdf(u, v - 1e-9) <= w + 1e-9
+            assert checker3.partial_derivative(1, u, v - 1e-9) <= w + 1e-9
 
 
 def test_sample_rejects_bad_count(pi):
@@ -696,11 +696,19 @@ def test_prefix_is_bit_identical_to_cumsum_reference(rng, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 64])
-def test_corner_slabs_of_any_height_hold_the_table_bits(rng, n):
-    grid = GridCopula(random_doubly_stochastic(rng, n, n_perms=min(n, 8) + 1))
+def test_corner_slabs_of_any_height_hold_the_table_bits(rng, n, monkeypatch):
+    """The corner values of C1 - C2 that the grid sup gap scans, streamed
+    in slabs of any height, hold the bits of the whole-table formula."""
+    a = random_doubly_stochastic(rng, n, n_perms=min(n, 8) + 1)
+    b = random_doubly_stochastic(rng, n, n_perms=min(n, 8) + 1)
+    table = np.zeros((n + 1, n + 1))
+    table[1:, 1:] = np.cumsum(np.cumsum(a - b, axis=1), axis=0)
+    table /= n
     for rows in sorted({1, 2, 3, n, n + 1}):
-        slabs = [s.copy() for s in core._corner_slabs(grid.matrix, np.empty((rows, n + 1)))]
-        assert np.concatenate(slabs).tobytes() == grid._prefix.tobytes()
+        monkeypatch.setattr(metrics, "_CORNER_SLAB", rows * n)
+        slabs = metrics._corner_values(metrics._difference_sums(a, b), n)
+        got = np.concatenate([s.reshape(-1, n + 1).copy() for s in slabs])
+        assert got.tobytes() == table.tobytes()
 
 
 def test_benchmark_hook_points_exist():

@@ -39,7 +39,7 @@ from copula_markov import (
 )
 from copula_markov.algebra import RESOLUTION_CAP_ENV
 from copula_markov.cli import main
-from copula_markov.metrics import d1_midpoint, sobolev_diagonal
+from copula_markov.metrics import sobolev_diagonal
 
 from conftest import CHECKER3, count_validations
 
@@ -96,7 +96,6 @@ COUNTS = {
     "is_si_archimedean": (
         "points", 3, lambda k: is_si_archimedean(clayton_generator(2.0), points=k)
     ),
-    "d1_midpoint": ("panels", 1, lambda k: d1_midpoint(CLAYTON, IndependenceCopula(), panels=k)),
     "renormalized": (
         "max_iter",
         1,

@@ -156,7 +156,7 @@ def test_grid_quantile_past_the_row_total_is_the_end_of_the_support():
     assert grid.conditional_quantile(u, 1.0) == 0.875
     assert grid.conditional_quantile(u, grid._row_sums[0, -1]) == 0.875
     # the conditional law reaches its total at the quantile
-    assert grid.conditional_cdf(u, 0.875) == grid._row_sums[0, -1]
+    assert grid.partial_derivative(1, u, 0.875) == grid._row_sums[0, -1]
 
 
 def test_save_refuses_an_operator_without_writing(tmp_path):

@@ -39,8 +39,6 @@ from copula_markov.metrics import (
     _d1_grids,
     _d1_slices,
     _slice_knots,
-    d1_midpoint,
-    d_inf_witness,
     sup_gap,
 )
 
@@ -59,7 +57,7 @@ def test_d_inf_identical_inputs(checker3, pi):
 
 def test_d_inf_independence_to_bounds(pi, upper, lower):
     # grid-search oracle: max of min(u,v) - uv is 1/4, at the center
-    value, witness = d_inf_witness(pi, upper)
+    value, witness = sup_gap(pi, upper)
     assert value == pytest.approx(0.25, abs=1e-6)
     assert witness == (0.5, 0.5)
     assert d_inf(pi, lower) == pytest.approx(0.25, abs=1e-6)
@@ -107,11 +105,20 @@ def test_sup_gap_common_resolution_grids_on_corners(rng):
     assert diff[round(u * 6), round(v * 6)] == pytest.approx(signed, abs=1e-15)
 
 
+def corner_difference(a, b):
+    """The corner values of C1 - C2 on the whole (n+1)^2 lattice: the
+    running sums of a - b along the rows, summed down the columns, over n."""
+    n = a.shape[0]
+    table = np.zeros((n + 1, n + 1))
+    table[1:, 1:] = np.cumsum(np.cumsum(a - b, axis=1), axis=0)
+    return table / n
+
+
 def reference_sup_gap(a, b, signed=False):
     """The corner-lattice gap as argmax over the whole difference array; a
     gap of 0 has no witness."""
     n = a.shape[0]
-    diff = (prefix_sums(a) - prefix_sums(b)) / n
+    diff = corner_difference(a, b)
     if not signed:
         diff = np.abs(diff)
     i, j = np.unravel_index(np.argmax(diff), diff.shape)
@@ -141,7 +148,7 @@ def test_sup_gap_matches_argmax_reference_including_ties(rng):
 
 def reference_corner_extremes(g1, g2):
     """The corner extremes from argmax/argmin over the whole difference array."""
-    flat = ((g1._prefix - g2._prefix) / g1.n).ravel()
+    flat = corner_difference(g1.matrix, g2.matrix).ravel()
     hi, lo = int(np.argmax(flat)), int(np.argmin(flat))
     return float(flat[hi]), hi, float(flat[lo]), lo
 
@@ -153,29 +160,34 @@ def test_corner_extremes_match_the_full_array_reference(rng, n):
     assert _corner_extremes(a, b) == reference_corner_extremes(a, b)
 
 
-def test_corner_extremes_ties_across_slabs_take_the_earlier_corner(rng):
-    n = 700  # 701^2 corners span several slabs
-    size = (n + 1) ** 2
-    assert size > 4 * _CORNER_SLAB
-    zero = SimpleNamespace(n=n, _prefix=np.zeros((n + 1, n + 1)))
-    flat = rng.random(size)
-    # each extreme is attained twice, in the first and in a later slab
-    flat[[17, 3 * _CORNER_SLAB + 5]] = 2.0
-    flat[[_CORNER_SLAB - 1, 4 * _CORNER_SLAB]] = -1.0
-    p = SimpleNamespace(n=n, _prefix=flat.reshape(n + 1, n + 1))
-    result = _corner_extremes(p, zero)
-    assert result == reference_corner_extremes(p, zero)
-    assert result[1] == 17 and result[3] == _CORNER_SLAB - 1
-    # a strictly larger value in a later slab wins
-    flat[3 * _CORNER_SLAB + 5] = 3.0
-    assert _corner_extremes(p, zero)[:2] == (3.0 / n, 3 * _CORNER_SLAB + 5)
+def test_corner_extremes_ties_across_slabs_take_the_earlier_corner(monkeypatch):
+    # permutation grids of 8 cells: every corner value is a count over 8,
+    # exact in binary, so equal counts tie exactly
+    eye = np.eye(8)
+    g1 = GridCopula(eye[[6, 0, 2, 7, 1, 4, 5, 3]])
+    g2 = GridCopula(eye[[3, 0, 7, 1, 5, 6, 2, 4]])
+    upper, lower = GridCopula(eye), GridCopula(eye[::-1].copy())
+    # slabs of 1, 2 and 3 rows of steps, and one slab; corner row 0 and
+    # column 0 count in every index, 9 corners to a row
+    for rows in (1, 2, 3, 8):
+        monkeypatch.setattr(metrics, "_CORNER_SLAB", 8 * rows)
+        # +-1/8, first met at corners (3, 3) and (1, 4), and again in later rows
+        assert _corner_extremes(g1, g2) == (0.125, 3 * 9 + 3, -0.125, 1 * 9 + 4)
+        assert _corner_extremes(g2, g1) == (0.125, 1 * 9 + 4, -0.125, 3 * 9 + 3)
+        # the unsigned tie between the max and -min takes the corner met first
+        assert sup_gap(g1, g2) == (0.125, (1 / 8, 4 / 8))
+        # W <= M: the zero extreme is met first at corner (0, 0) of row 0
+        assert _corner_extremes(lower, upper) == (0.0, 0, -0.5, 4 * 9 + 4)
+        assert _corner_extremes(upper, lower) == (0.5, 4 * 9 + 4, 0.0, 0)
+        for a, b in ((g1, g2), (g2, g1), (lower, upper), (upper, lower)):
+            assert _corner_extremes(a, b) == reference_corner_extremes(a, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 254, 255, 256, 257, 700])
 def test_corner_extremes_stream_an_uncached_operand_with_its_table_bits(rng, n):
     a = GridCopula(random_doubly_stochastic(rng, n, n_perms=min(n, 12)))
     b = GridCopula(random_doubly_stochastic(rng, n, n_perms=min(n, 12)))
-    a._prefix  # one operand cached, the other streamed
+    a._prefix  # a cached corner table is not read
     forward, backward = _corner_extremes(a, b), _corner_extremes(b, a)
     assert "_prefix" not in vars(b)
     assert forward == reference_corner_extremes(a, b)
@@ -302,6 +314,13 @@ def test_d1_grid_pair_respects_resolution_cap(rng, monkeypatch):
     b = GridCopula(random_doubly_stochastic(rng, 4))
     with pytest.raises(ResolutionCapError):
         d1_metric(a, b)
+
+
+def d1_midpoint(c1, c2, panels=512):
+    """Plain midpoint-rule estimate of the D1 integral (validation oracle)."""
+    t = (np.arange(panels) + 0.5) / panels
+    u, v = t[:, None], t[None, :]
+    return float(np.abs(c1.partial_derivative(1, u, v) - c2.partial_derivative(1, u, v)).mean())
 
 
 def test_d1_midpoint_oracle_agrees(pi, upper):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from copula_markov import (
 
 from copula_markov import metrics, monotonicity
 from copula_markov.algebra import transpose
-from copula_markov.core import _running_sums
 from copula_markov.metrics import sup_gap
 from copula_markov.monotonicity import MonotonicityVerdict
 
@@ -92,15 +92,15 @@ def test_check_si_rejects_bad_arguments(pi):
 
 
 def cumsum_check_si(c, component, tol):
-    """Reference: the grid SI check through a transposed grid and its own
-    cumulative row sums."""
+    """Reference: the grid SI check through a transposed grid, the steps
+    being the cumulative row sums of its row differences."""
     work = c if component == 1 else transpose(c)
     n = work.n
     if n == 1:
         verdict = True, True, 0.0, None, "exact-cumsum"
     else:
-        cum = np.cumsum(work.matrix, axis=1)
-        steps = np.diff(cum, axis=0)  # > 0 anywhere breaks SI, < 0 breaks SD
+        # > 0 anywhere breaks SI, < 0 breaks SD
+        steps = np.cumsum(np.diff(work.matrix, axis=0), axis=1)
         si_worst = float(steps.max())
         sd_worst = float(-steps.min())
         k, l = np.unravel_index(np.argmax(steps), steps.shape)
@@ -138,6 +138,39 @@ def test_grid_si_check_matches_the_cumsum_reference(rng, n):
                 assert check_si(grid, component, tol=tol).to_json() == expected
 
 
+def rational_si(a):
+    """``(si, sd, largest step)`` of the SI check on the stored doubles of
+    ``a``, in exact rational arithmetic."""
+    rows = [[Fraction(x) for x in row] for row in a.tolist()]
+    steps = [Fraction(0)]  # no pair of rows: no breach either way
+    for upper, lower in zip(rows, rows[1:]):
+        run = Fraction(0)
+        for x, y in zip(upper, lower):
+            run += y - x
+            steps.append(run)
+    return max(steps) <= 0, min(steps) >= 0, max(steps)
+
+
+def test_grid_si_at_zero_tol_agrees_with_the_rational_oracle(rng):
+    # a I + (1 - a) J / n: the stored doubles are exactly SI, and not SD
+    for n, a in itertools.product(range(2, 60), (0.1, 0.3, 1 / 3, 0.7)):
+        grid = GridCopula(a * np.eye(n) + (1 - a) / n * np.ones((n, n)))
+        verdict = check_si(grid, tol=0.0)
+        assert (verdict.si, verdict.sd) == rational_si(grid.matrix)[:2] == (True, False), (n, a)
+    # small dyadic grids, both components: every running sum is exact in binary
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        weights = np.bincount(rng.integers(0, 3, size=8), minlength=3) / 8
+        eye = np.eye(n)
+        matrix = sum(w * eye[rng.permutation(n)] for w in weights)
+        grid = GridCopula(matrix)
+        for component, lines in ((1, grid.matrix), (2, grid.matrix.T)):
+            si, sd, worst = rational_si(lines)
+            verdict = check_si(grid, component, tol=0.0)
+            assert (verdict.si, verdict.sd) == (si, sd)
+            assert verdict.max_violation == max(worst, 0)
+
+
 @pytest.mark.parametrize("n", [2, 300, 700])
 def test_grid_si_check_slabs_match_the_full_step_table(rng, n, monkeypatch):
     si = 0.6 * np.eye(n) + 0.4 / n
@@ -147,7 +180,7 @@ def test_grid_si_check_slabs_match_the_full_step_table(rng, n, monkeypatch):
     for slab, grid in itertools.product((metrics._CORNER_SLAB, 1), grids):
         monkeypatch.setattr(metrics, "_CORNER_SLAB", slab)
         for component, lines in ((1, grid.matrix), (2, grid.matrix.T)):
-            steps = np.diff(_running_sums(lines)[:, 1:], axis=0)
+            steps = np.cumsum(np.diff(lines, axis=0), axis=1)
             slabs = np.concatenate([s.flatten() for s in monotonicity._running_sum_steps(lines)])
             assert slabs.tobytes() == steps.tobytes()
             k, l = np.unravel_index(np.argmax(steps), steps.shape)
