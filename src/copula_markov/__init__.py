@@ -85,7 +85,6 @@ from .metrics import (
 from .serialize import (
     SpecError,
     copula_from_spec,
-    copula_to_spec,
     load_copula,
     save_copula,
 )

@@ -26,7 +26,7 @@ from .algebra import (
     markov_product,
     quadrature_markov_product,
 )
-from .core import CopulaError, DomainError, GridCopula, _check_count
+from .core import CopulaError, DomainError, GridCopula, _check_count, _check_tol
 from .monotonicity import check_complete_dependence, check_quadrant_dependence, check_si
 from .serialize import _write_csv, _write_json, load_copula, save_copula
 
@@ -122,6 +122,7 @@ def cmd_derivative_trace(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    _check_tol(args.tol, positive=True)  # a usage error, not a failed property
     c = load_copula(args.spec)
     try:
         decomposition = extract_pi_ordinal_structure(c, tol=args.tol)

@@ -360,15 +360,11 @@ class GridCopula(Copula):
     @cached_property
     def _prefix(self):
         """(n+1)x(n+1) corner values n*C(k/n, l/n), i.e. 2-d prefix sums:
-        column sums added along contiguous rows (the additions of a strided
-        cumsum(axis=0)), then summed along each row."""
-        n = self.n
-        p = np.zeros((n + 1, n + 1))
-        body = p[1:, 1:]
-        above = p[0, 1:]
-        for row, line in zip(body, self.matrix):
-            above = np.add(above, line, out=row)
-        np.cumsum(body, axis=1, out=body)
+        the running sums down the columns (:func:`_sums_down`), then along
+        each row."""
+        p = np.zeros((self.n + 1, self.n + 1))
+        _sums_down(self.matrix, p[0, 1:], p[1:, 1:])
+        np.cumsum(p[1:, 1:], axis=1, out=p[1:, 1:])
         p.setflags(write=False)
         return p
 
@@ -470,6 +466,15 @@ def _running_sums(a):
     np.cumsum(a, axis=1, out=out[:, 1:])
     out.setflags(write=False)
     return out
+
+
+def _sums_down(lines, above, out):
+    """out[i] = above + lines[0] + ... + lines[i], added along contiguous
+    rows as a strided cumsum(axis=0) adds: the running sums down the
+    columns.  ``out`` may be ``lines``; returns the last row."""
+    for row, line in zip(out, lines):
+        above = np.add(above, line, out=row)
+    return above
 
 
 def _line_derivative(sums, a, x, y, side):

@@ -1,9 +1,9 @@
 """Distances and functionals on copulas: sup distance, the integrated
 partial-derivative distance D1, and the diagonal Sobolev functional.
 
-Every comparison of two grids of one resolution (sup gap, D1, the grid SI
-check, the ``iterate_to_limit`` step) reads the running sums of the
-difference of their matrices, :func:`_difference_sums`."""
+Every comparison of two grids of one resolution (sup gap, D1, the
+``iterate_to_limit`` step, grid SI in component 1) reads the running sums
+of the difference of their matrices, :func:`_difference_sums`."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from .core import (
     IndependenceCopula,
     InvariantError,
     _Record,
+    _sums_down,
 )
 
 __all__ = [
@@ -72,16 +73,15 @@ def _slab_rows(width):
     return max(1, _CORNER_SLAB // width)
 
 
-def _difference_sums(a1, a2, buf=None):
+def _difference_sums(a1, a2):
     """The running sums along the rows of ``a1 - a2`` (two arrays of one
     shape) in row-major slabs of :func:`_slab_rows` rows, each subtracted
-    into ``buf`` (by default a new one-slab buffer), summed along its rows
-    in place and yielded as a view of it.  Reducing the difference, not
-    differencing two reductions, cancels equal entries to exact zeros
-    before any sum is rounded."""
+    into one buffer, summed along its rows in place and yielded as a view
+    of it.  Reducing the difference, not differencing two reductions,
+    cancels equal entries to exact zeros before any sum is rounded."""
     lines, width = a1.shape
     rows = _slab_rows(width)
-    buf = np.empty((min(rows, lines), width)) if buf is None else buf
+    buf = np.empty((min(rows, lines), width))
     for start in range(0, lines, rows):
         cum = buf[: min(rows, lines - start)]
         np.subtract(a1[start : start + rows], a2[start : start + rows], out=cum)
@@ -90,18 +90,14 @@ def _difference_sums(a1, a2, buf=None):
 
 def _corner_values(sums, n):
     """The corner values (C1 - C2)(k/n, l/n) of two grids in row-major slabs:
-    corner row 0, then the running sums down the columns of the slabs
-    ``sums`` of :func:`_difference_sums` of their matrices, added row by row
-    along contiguous rows and carried across slabs, over n."""
+    corner row 0, then the running sums down the columns (carried across
+    slabs) of the slabs ``sums`` of :func:`_difference_sums`, over n."""
     yield np.zeros(n + 1)
     buf = np.zeros((min(_slab_rows(n), n), n + 1))
     carry = np.zeros(n)  # column sums of the rows above the slab
     for cum in sums:
         slab = buf[: len(cum)]
-        above = carry
-        for row, line in zip(slab[:, 1:], cum):
-            above = np.add(above, line, out=row)
-        carry[:] = above
+        carry[:] = _sums_down(cum, carry, slab[:, 1:])
         yield np.divide(slab, n, out=slab)
 
 

@@ -28,6 +28,7 @@ from .core import (
     _check_count,
     _check_tol,
     _Record,
+    _sums_down,
 )
 from .operators import operator_of
 
@@ -68,13 +69,14 @@ class MonotonicityVerdict(_Record):
 def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
     """SI/SD verdict for ``component`` (grids exact, closed forms certified).
 
-    Grid path: the cumulative row sums S_k(l) of the matrix must be
-    non-increasing in k for every l, within ``tol``.  Each step
-    S_{k+1}(l) - S_k(l) sums the differences of the two rows, which cancel
-    exactly where entries agree, so a I + (1 - a) J / n passes at tol=0.
-    Closed-form path: concavity/convexity of the sections via second
-    differences on a ``u_points`` x ``v_points`` audit grid.  Both scan
-    their steps row by row in one pass; a NaN among them raises
+    Grid path: the cumulative row sums S_k(l) of the matrix (of its
+    transpose for component 2: :func:`_column_steps`) must be non-increasing
+    in k for every l, within ``tol``.  Each step S_{k+1}(l) - S_k(l) sums
+    the differences of two rows (columns), which cancel exactly where
+    entries agree, so a I + (1 - a) J / n passes at tol=0.  Closed-form
+    path: concavity/convexity of the sections via second differences on a
+    ``u_points`` x ``v_points`` audit grid.  The witness is the first breach
+    in the order k, then l; a NaN among the steps raises
     :class:`~copula_markov.core.InvariantError`.
     """
     if component not in (1, 2):
@@ -83,24 +85,28 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
     u_points = _check_count(u_points, "u_points", least=3)
     v_points = _check_count(v_points, "v_points")
     if isinstance(c, GridCopula):
-        # the running sums along the rows of the matrix (of its transpose
-        # for component 2) are the conditional laws d1 C(k/n, l/n); step
-        # (k, l) = S_{k+1}(l) - S_k(l) is witnessed at cell midpoints k and
-        # k + 1, edge l + 1
-        a = c.matrix if component == 1 else c.matrix.T
-        n = a.shape[0]
-        steps = _running_sum_steps(a)
+        # step (k, l) = S_{k+1}(l) - S_k(l) is witnessed at cell midpoints
+        # k and k + 1, edge l + 1
+        a, n = c.matrix, c.n
+        if component == 1 or n == 1:  # a 1 x 1 matrix is its own transpose
+            hi, at_hi, lo, _ = metrics._first_extremes(metrics._difference_sums(a[1:], a[:-1]))
+        else:  # each column's max and min; as bot <= top, the first max is in top
+            top, bot = np.full(n - 1, -np.inf), np.full(n - 1, np.inf)
+            for steps in _column_steps(a):
+                np.maximum(top, steps.max(axis=0), out=top)
+                np.minimum(bot, steps.min(axis=0), out=bot)
+            hi, k, lo, _ = metrics._first_extremes([top, bot])  # k: the first column with it
+            # column k summed again alone, by the same additions, gives the first l
+            at_hi = k * n + int(np.argmax(np.cumsum(a[:, k + 1] - a[:, k])))
         mid = (np.arange(n) + 0.5) / n
         u1, u2, v, method = mid[:-1], mid[1:], (np.arange(n) + 1.0) / n, "exact-cumsum"
     else:
         u = np.linspace(0.0, 1.0, u_points)
         v = np.linspace(0.0, 1.0, v_points)
         vals = c.cdf(u[:, None], v) if component == 1 else c.cdf(v, u[:, None])
-        # second differences of the sections
-        steps = [vals[:-2] + vals[2:] - 2.0 * vals[1:-1]]
+        # second differences of the sections; a step > 0 breaks SI, < 0 SD
+        hi, at_hi, lo, _ = metrics._first_extremes([vals[:-2] + vals[2:] - 2.0 * vals[1:-1]])
         u1, u2, method = u[:-2], u[2:], "grid-certified"
-    # a step > 0 breaks SI, < 0 breaks SD
-    hi, at_hi, lo, _ = metrics._first_extremes(steps)
     k, l = divmod(at_hi, v.size)
     return MonotonicityVerdict(
         si=hi <= tol,
@@ -112,22 +118,17 @@ def check_si(c: Copula, component=1, tol=1e-9, u_points=257, v_points=65):
     )
 
 
-def _running_sum_steps(a):
-    """The steps S_{k+1} - S_k between the running sums along neighbouring
-    rows of ``a``, the running sums of a[k+1] - a[k], in row-major slabs
-    (:func:`metrics._difference_sums`).  A transposed view is copied
-    contiguous one slab at a time, with the first row of the next, so each
-    of its entries is read once and the differences read contiguous rows."""
-    n = a.shape[0]
-    if a.flags.c_contiguous:
-        yield from metrics._difference_sums(a[1:], a[:-1])
-        return
-    rows = metrics._slab_rows(n)
-    lines, steps = np.empty((min(rows, n - 1) + 1, n)), np.empty((min(rows, n - 1), n))
-    for start in range(0, n - 1, rows):
-        block = lines[: min(rows, n - 1 - start) + 1]
-        block[:] = a[start : start + len(block)]
-        yield from metrics._difference_sums(block[1:], block[:-1], steps)
+def _column_steps(a):
+    """The component-2 steps of ``a`` (n >= 2) transposed, entry (l, k) the
+    sum of a[:l+1, k+1] - a[:l+1, k]: column differences in row slabs summed
+    down (:func:`core._sums_down`) from -0.0, so each reads as ``cumsum``'s."""
+    n = len(a)
+    carry, buf = np.full(n - 1, -0.0), np.empty((min(metrics._slab_rows(n - 1), n), n - 1))
+    for start in range(0, n, len(buf)):
+        block = a[start : start + len(buf)]
+        steps = np.subtract(block[:, 1:], block[:, :-1], out=buf[: len(block)])
+        carry[:] = _sums_down(steps, carry, steps)
+        yield steps
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from . import families
 __all__ = [
     "SpecError",
     "copula_from_spec",
-    "copula_to_spec",
     "load_copula",
     "save_copula",
     "matrix_from_csv",
@@ -117,10 +116,6 @@ def copula_from_spec(spec) -> Copula:
             raise SpecError("transpose spec needs an 'of' field")
         return TransposedCopula(copula_from_spec(spec["of"]))
     raise SpecError(f"unknown spec type {kind!r}")
-
-
-def copula_to_spec(c: Copula) -> dict:
-    return c.to_spec()
 
 
 def load_copula(path) -> Copula:

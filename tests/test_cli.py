@@ -364,6 +364,15 @@ def test_decompose_rejects_non_idempotent(specs, capsys):
     assert "idempotent" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_decompose_refuses_a_tolerance_that_is_not_positive(specs, capsys, tol):
+    # a usage error (exit 2), not a property that fails (exit 1)
+    code, out, err = run(capsys, "decompose", specs["pi.json"], "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "tol must be positive" in err
+
+
 def test_metric_commands(specs, capsys):
     code, out, _ = run(
         capsys, "metric", specs["pi.json"], "--metric", "sobolev-diag"

@@ -175,17 +175,29 @@ def test_grid_si_at_zero_tol_agrees_with_the_rational_oracle(rng):
 def test_grid_si_check_slabs_match_the_full_step_table(rng, n, monkeypatch):
     si = 0.6 * np.eye(n) + 0.4 / n
     mixture = random_doubly_stochastic(rng, n, n_perms=min(n, 12))
-    grids = [GridCopula(a) for a in (si, si[::-1].copy(), mixture)]
+    # weights in eighths: every running sum is exact, so equal steps tie
+    # exactly, across slab edges too, and the first-position rule decides
+    eye = np.eye(n)
+    dyadic = [
+        sum(w * eye[rng.permutation(n)] for w in np.bincount(rng.integers(0, k, size=8)) / 8)
+        for k in (2, 3, 8)
+    ]
+    grids = [GridCopula(a) for a in (si, si[::-1].copy(), mixture, *dyadic)]
     # a slab of 1 reads one row of steps at a time: every overlap is an edge
     for slab, grid in itertools.product((metrics._CORNER_SLAB, 1), grids):
         monkeypatch.setattr(metrics, "_CORNER_SLAB", slab)
-        for component, lines in ((1, grid.matrix), (2, grid.matrix.T)):
+        a = grid.matrix
+        scans = ((1, a, metrics._difference_sums(a[1:], a[:-1])), (2, a.T, monotonicity._column_steps(a)))
+        for component, lines, scan in scans:
             steps = np.cumsum(np.diff(lines, axis=0), axis=1)
-            slabs = np.concatenate([s.flatten() for s in monotonicity._running_sum_steps(lines)])
-            assert slabs.tobytes() == steps.tobytes()
+            # component 2 sums its steps down the columns: the table transposed
+            table = steps if component == 1 else steps.T.copy()
+            slabs = np.concatenate([s.flatten() for s in scan])
+            assert slabs.tobytes() == table.tobytes()
             k, l = np.unravel_index(np.argmax(steps), steps.shape)
             verdict = check_si(grid, component)
             assert verdict.max_violation == max(float(steps.max()), 0.0)
+            assert verdict.max_violation.hex() == max(float(steps[k, l]), 0.0).hex()
             assert verdict.si == (steps.max() <= 1e-9)
             assert verdict.sd == (-steps.min() <= 1e-9)
             breach = steps.max() > 0
@@ -193,10 +205,11 @@ def test_grid_si_check_slabs_match_the_full_step_table(rng, n, monkeypatch):
 
 
 def test_grid_si_check_holds_no_full_size_temporary(rng):
+    # each component holds about one slab of steps, whatever n is
     n = 1024
     grid = GridCopula(random_doubly_stochastic(rng, n, n_perms=12))
     for component in (1, 2):
-        assert traced_peak(check_si, grid, component) < n * n * 8 // 2
+        assert traced_peak(check_si, grid, component) < 1.5 * 8 * metrics._CORNER_SLAB
 
 
 def test_a_zero_sup_gap_has_no_witness(pi):
